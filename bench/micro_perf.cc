@@ -1,8 +1,8 @@
 /**
  * @file
  * Google-benchmark microbenchmarks of the simulation substrates: DRAM
- * command issue, controller ticks, fault-model hammering, and ECC
- * decode throughput. These bound the wall-clock cost of the experiment
+ * command issue, controller ticks, fault-model hammering, the attack
+ * fast path, and ECC decode throughput. These bound the wall-clock cost of the experiment
  * harness itself.
  */
 
@@ -12,6 +12,8 @@
 #include <memory>
 #include <vector>
 
+#include "attack/fuzzer.hh"
+#include "attack/session.hh"
 #include "charlib/hcfirst.hh"
 #include "core/system.hh"
 #include "dram/address_functions.hh"
@@ -19,6 +21,7 @@
 #include "ecc/ondie.hh"
 #include "fault/chip_model.hh"
 #include "mitigation/factory.hh"
+#include "mitigation/trr.hh"
 #include "sim/controller.hh"
 #include "util/logging.hh"
 #include "workload/synthetic.hh"
@@ -170,6 +173,44 @@ BM_ChipModelHammer(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ChipModelHammer);
+
+// One fuzzer-drawn (REF-synchronized) pattern replayed through
+// attack::runPattern at the campaign's default budget (20 * HCfirst *
+// maxOrder ACTs): arg 0 = no mitigation, arg 1 = a 4-slot in-order TRR
+// sampler. Reports the time per activation.
+void
+BM_HammerSessionPeriod(benchmark::State &state)
+{
+    const attack::FuzzerConfig config;
+    const std::int64_t budget = static_cast<std::int64_t>(
+        20.0 * config.hcFirst * config.maxOrder);
+    fault::ChipModel chip(config.spec, config.hcFirst, config.seed,
+                          config.geometry);
+    const attack::FuzzingParameterSet params(config, chip.aggressorStep(),
+                                             budget);
+    const attack::AccessPattern pattern =
+        params.sample(chip.weakestBank(), chip.weakestRow(), 1);
+    attack::SessionConfig session;
+    session.actsPerRefInterval = config.actsPerRefInterval;
+    const mitigation::TrrSampler::Params trr{.samplerSize = 4,
+                                             .refreshSlotsPerRef = 4};
+    util::Rng rng(1);
+    std::int64_t acts = 0;
+    for (auto _ : state) {
+        mitigation::TrrSampler sampler(1, trr);
+        const attack::SessionResult result = attack::runPattern(
+            chip, pattern, state.range(0) == 1 ? &sampler : nullptr,
+            session, rng);
+        acts += result.activations;
+        benchmark::DoNotOptimize(result.flips.data());
+    }
+    state.SetItemsProcessed(acts);
+    state.counters["time_per_act"] = benchmark::Counter(
+        static_cast<double>(acts),
+        benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_HammerSessionPeriod)->Arg(0)->Arg(1)->Unit(
+    benchmark::kMillisecond);
 
 void
 BM_OnDieEccDecode(benchmark::State &state)

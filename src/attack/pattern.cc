@@ -41,23 +41,34 @@ AccessPattern::activationBudget() const
     return static_cast<std::int64_t>(periods) * activationsPerPeriod();
 }
 
+std::vector<ActivationRun>
+AccessPattern::periodRuns() const
+{
+    std::vector<ActivationRun> out;
+    for (int tick = 0; tick < basePeriod; ++tick) {
+        for (const AggressorSlot &slot : slots) {
+            const int interval = basePeriod / slot.frequency;
+            if (tick < slot.phase || (tick - slot.phase) % interval != 0)
+                continue;
+            if (!out.empty() && out.back().row == slot.row)
+                out.back().count += slot.amplitude;
+            else
+                out.push_back(ActivationRun{slot.row, slot.amplitude});
+        }
+    }
+    return out;
+}
+
 void
 AccessPattern::expand(std::vector<int> &out) const
 {
     out.clear();
     out.reserve(static_cast<std::size_t>(activationBudget()));
+    const std::vector<ActivationRun> runs = periodRuns();
     for (int period = 0; period < periods; ++period) {
-        for (int tick = 0; tick < basePeriod; ++tick) {
-            for (const AggressorSlot &slot : slots) {
-                const int interval = basePeriod / slot.frequency;
-                if (tick < slot.phase ||
-                    (tick - slot.phase) % interval != 0) {
-                    continue;
-                }
-                for (int a = 0; a < slot.amplitude; ++a)
-                    out.push_back(slot.row);
-            }
-        }
+        for (const ActivationRun &run : runs)
+            out.insert(out.end(), static_cast<std::size_t>(run.count),
+                       run.row);
     }
 }
 

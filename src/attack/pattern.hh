@@ -12,10 +12,12 @@
  * each firing `frequency` times per base period at a phase offset, with
  * `amplitude` consecutive activations per firing.
  *
- * A pattern is pure data: expand() deterministically lowers it to the
- * ordered activation stream that drives either the fast path
- * (fault::ChipModel::hammerRows / attack::runPattern) or the
- * cycle-accurate path (attack::TraceAdapter -> sim::Controller).
+ * A pattern is pure data: periodRuns() deterministically lowers one
+ * period to runs of same-row activations, which drive the fast path
+ * (attack::runPattern), and expand() to the ordered per-activation
+ * stream the cycle-accurate path replays (attack::TraceAdapter ->
+ * sim::Controller). doses() gives the weighted aggressor set for
+ * fault::ChipModel::hammerRows.
  */
 
 #ifndef ROWHAMMER_ATTACK_PATTERN_HH
@@ -60,6 +62,15 @@ struct AggressorSlot
     auto operator<=>(const AggressorSlot &) const = default;
 };
 
+/** A run of consecutive activations of one row. */
+struct ActivationRun
+{
+    int row = 0;
+    std::int64_t count = 0;
+
+    auto operator<=>(const ActivationRun &) const = default;
+};
+
 /** A complete hammering pattern against one victim. */
 struct AccessPattern
 {
@@ -86,9 +97,17 @@ struct AccessPattern
     std::int64_t activationBudget() const;
 
     /**
+     * One period of the activation stream as runs: consecutive
+     * activations of the same row (a slot's amplitude, or adjacent
+     * firings of one slot) merge into one run. Slots firing on the
+     * same tick are emitted in slot order. The stream is `periods`
+     * repetitions of this.
+     */
+    std::vector<ActivationRun> periodRuns() const;
+
+    /**
      * Lower the pattern to its ordered activation stream: one row per
-     * activation, exactly activationBudget() entries. Slots firing on
-     * the same tick are emitted in slot order.
+     * activation, exactly activationBudget() entries.
      */
     void expand(std::vector<int> &out) const;
 

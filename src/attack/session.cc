@@ -43,7 +43,11 @@ runPattern(fault::ChipModel &chip, const AccessPattern &pattern,
     chip.writePattern(dp, pattern.victimRow & 1);
     chip.refreshRow(bank, pattern.victimRow);
 
+    mitigation::NoMitigation unprotected;
+    mitigation::Mitigation &mech = mechanism ? *mechanism : unprotected;
+
     SessionResult result;
+    // Victims the mechanism requested; empty between its calls.
     std::vector<mitigation::VictimRef> scratch;
     // A refresh restores charge but does not undo a flip that already
     // happened: harvest a row's observable flips immediately before
@@ -63,41 +67,65 @@ runPattern(fault::ChipModel &chip, const AccessPattern &pattern,
         scratch.clear();
     };
 
-    const std::vector<int> schedule = pattern.schedule();
     const int rows_per_ref =
         config.autoRefreshRotation ? config.rowsPerRef : 0;
     int rotation = 0;
     std::uint64_t ref_index = 0;
+    std::int64_t until_ref = config.actsPerRefInterval;
 
-    for (std::size_t i = 0; i < schedule.size(); ++i) {
-        const int row = schedule[i];
-        chip.addActivations(bank, row, 1);
-        ++result.activations;
-        if (mechanism) {
-            scratch.clear();
-            mechanism->onActivate(bank, row,
-                                  static_cast<dram::Cycle>(i), scratch);
-            apply_victims();
-        }
-
-        if ((static_cast<std::int64_t>(i) + 1) %
-                config.actsPerRefInterval !=
-            0) {
-            continue;
-        }
+    const auto refresh = [&] {
         ++result.refIntervals;
         if (config.autoRefreshRotation) {
             for (int r = 0; r < config.rowsPerRef; ++r)
                 latch_and_refresh((rotation + r) % rows);
             rotation = (rotation + config.rowsPerRef) % rows;
         }
-        if (mechanism) {
-            scratch.clear();
-            mechanism->onRefresh(ref_index, rows_per_ref, scratch);
-            apply_victims();
-        }
+        mech.onRefresh(ref_index, rows_per_ref, scratch);
+        apply_victims();
         ++ref_index;
+    };
+
+    // Issue `n` consecutive ACTs of `row`: split at REF boundaries, and
+    // within an interval let the mechanism consume as much of the run
+    // as it can account for before its next victim refresh.
+    const auto activate_run = [&](int row, std::int64_t n) {
+        while (n > 0) {
+            const std::int64_t chunk = std::min(n, until_ref);
+            for (std::int64_t left = chunk; left > 0;) {
+                const std::int64_t k = mech.onActivateRun(
+                    bank, row, left, result.activations, scratch);
+                if (k < 1 || k > left)
+                    util::panic("attack session: onActivateRun consumed "
+                                "outside [1, n]");
+                chip.addActivations(bank, row, k);
+                result.activations += k;
+                left -= k;
+                apply_victims();
+            }
+            n -= chunk;
+            until_ref -= chunk;
+            if (until_ref == 0) {
+                refresh();
+                until_ref = config.actsPerRefInterval;
+            }
+        }
+    };
+
+    // Walk the periods run by run, merging a period's last run with the
+    // next period's first when they hammer the same row.
+    const std::vector<ActivationRun> runs = pattern.periodRuns();
+    ActivationRun pending{runs.front().row, 0};
+    for (int period = 0; period < pattern.periods; ++period) {
+        for (const ActivationRun &run : runs) {
+            if (run.row != pending.row) {
+                activate_run(pending.row, pending.count);
+                pending.row = run.row;
+                pending.count = 0;
+            }
+            pending.count += run.count;
+        }
     }
+    activate_run(pending.row, pending.count);
 
     // Read back every row the pattern can have disturbed, in ascending
     // order (aggressor rows self-report no flips and draw no

@@ -5,12 +5,20 @@
  * activation stream — the arena where attack patterns and defenses
  * meet without the cycle-accurate controller's cost.
  *
- * The session replays the pattern's activation schedule one ACT at a
- * time. Each ACT is reported to the mechanism (as the memory controller
- * or the in-DRAM TRR logic would see it); every `actsPerRefInterval`
- * ACTs a REF boundary fires, giving the mechanism its onRefresh hook.
- * Victim-row refreshes the mechanism requests are applied to the chip
- * as restorative row cycles.
+ * The session walks one period of the pattern as runs of consecutive
+ * same-row ACTs (AccessPattern::periodRuns), `periods` times, without
+ * materializing the per-ACT schedule, so its memory does not grow with
+ * the activation budget. Every `actsPerRefInterval` ACTs a REF boundary
+ * fires, giving the mechanism its onRefresh hook; runs are split at
+ * those boundaries. Within an interval the mechanism sees each run
+ * through Mitigation::onActivateRun (as the memory controller or the
+ * in-DRAM TRR logic would see its ACTs) and consumes it in as few
+ * steps as its victim refreshes allow: counters and samplers with a
+ * closed form take a whole run at once, randomized mechanisms one ACT
+ * at a time. The chip is dosed once per consumed step, and victim-row
+ * refreshes the mechanism requests are applied as restorative row
+ * cycles right after the ACT that triggered them, so flips match a
+ * per-ACT replay exactly.
  *
  * Refresh-window modeling: the attack is assumed to be synchronized
  * with REF and to fit before the victim's own auto-refresh slot comes

@@ -12,8 +12,8 @@
 #define ROWHAMMER_MITIGATION_IDEAL_HH
 
 #include <cstdint>
-#include <string>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "mitigation/mitigation.hh"
@@ -37,6 +37,12 @@ class IdealRefresh : public Mitigation
     void onActivate(int flat_bank, int row, dram::Cycle now,
                     std::vector<VictimRef> &out) override;
 
+    /** Closed form: consumes the run up to the first activation that
+     *  brings either in-range neighbor to its refresh threshold. */
+    [[nodiscard]] std::int64_t onActivateRun(
+        int flat_bank, int row, std::int64_t n, dram::Cycle now,
+        std::vector<VictimRef> &out) override;
+
     void onRefresh(std::uint64_t ref_index, int rows_per_ref,
                    std::vector<VictimRef> &out) override;
 
@@ -54,11 +60,9 @@ class IdealRefresh : public Mitigation
             static_cast<std::uint32_t>(row);
     }
 
-    void trackVictim(int flat_bank, int row,
-                     std::vector<VictimRef> &out);
-
-    double hcFirst_;
     int rowsPerBank_;
+    /** Smallest count that triggers a refresh: ceil(hcFirst - 1). */
+    std::uint32_t threshold_ = 0;
     int rotation_ = 0; ///< Next row index the refresh rotation covers.
     /** Ordered so the onRefresh() rotation sweep is deterministic
      *  (invariant-linter rule: no unordered containers here). */

@@ -13,6 +13,7 @@
 #ifndef ROWHAMMER_MITIGATION_MITIGATION_HH
 #define ROWHAMMER_MITIGATION_MITIGATION_HH
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,8 +34,11 @@ struct VictimRef
  * Abstract RowHammer mitigation mechanism.
  *
  * Implementations must be deterministic given their constructor Rng
- * seed; the controller guarantees onActivate is called exactly once per
- * demand/auto ACT (not for ACTs the mechanism itself induced).
+ * seed. Every demand/auto ACT (not the ACTs the mechanism itself
+ * induced) is observed exactly once, in order: the controller reports
+ * each one through onActivate, and the attack fast path reports runs
+ * of consecutive same-row ACTs through onActivateRun, which must
+ * behave exactly like that many onActivate calls.
  */
 class Mitigation
 {
@@ -50,6 +54,25 @@ class Mitigation
      */
     virtual void onActivate(int flat_bank, int row, dram::Cycle now,
                             std::vector<VictimRef> &out) = 0;
+
+    /**
+     * Observe the first k of `n` (>= 1) consecutive activations of
+     * (flat_bank, row), the first at cycle `now`, and return k in
+     * [1, n]. Victims appended to `out` belong to the k-th activation;
+     * the caller applies them before reporting the remaining n - k.
+     * The observable state and every victim must match k onActivate
+     * calls. The default consumes exactly one activation, which keeps
+     * randomized mechanisms on their per-ACT draw order; mechanisms
+     * with a closed form for a run override it.
+     */
+    [[nodiscard]] virtual std::int64_t
+    onActivateRun(int flat_bank, int row, std::int64_t n, dram::Cycle now,
+                  std::vector<VictimRef> &out)
+    {
+        (void)n;
+        onActivate(flat_bank, row, now, out);
+        return 1;
+    }
 
     /**
      * Observe an auto-refresh command. `ref_index` counts REFs since
@@ -88,6 +111,13 @@ class NoMitigation : public Mitigation
     void
     onActivate(int, int, dram::Cycle, std::vector<VictimRef> &) override
     {
+    }
+
+    [[nodiscard]] std::int64_t
+    onActivateRun(int, int, std::int64_t n, dram::Cycle,
+                  std::vector<VictimRef> &) override
+    {
+        return n;
     }
 };
 

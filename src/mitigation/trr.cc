@@ -34,40 +34,59 @@ void
 TrrSampler::onActivate(int flat_bank, int row, dram::Cycle now,
                        std::vector<VictimRef> &out)
 {
+    (void)TrrSampler::onActivateRun(flat_bank, row, 1, now, out);
+}
+
+std::int64_t
+TrrSampler::onActivateRun(int flat_bank, int row, std::int64_t n,
+                          dram::Cycle now, std::vector<VictimRef> &out)
+{
     (void)now;
     (void)out; // TRR refreshes only under cover of REF commands.
+    const auto run = static_cast<std::uint64_t>(n);
 
     const int idx = find(flat_bank, row);
     if (idx >= 0) {
-        ++table_[static_cast<std::size_t>(idx)].count;
-        return;
+        table_[static_cast<std::size_t>(idx)].count += run;
+        return n;
     }
 
     if (static_cast<int>(table_.size()) < params_.samplerSize) {
-        table_.push_back(Entry{flat_bank, row, 1});
-        return;
+        table_.push_back(Entry{flat_bank, row, run});
+        return n;
     }
 
-    ++missesSinceRef_;
     switch (params_.policy) {
       case Policy::InOrder:
-        // Slots are taken for the rest of the interval; the activation
-        // goes unsampled. This is the saturation an N-sided pattern
-        // with front-loaded decoys exploits.
-        break;
-      case Policy::Frequency:
+        // Slots are taken for the rest of the interval; the activations
+        // go unsampled. This is the saturation an N-sided pattern with
+        // front-loaded decoys exploits.
+        missesSinceRef_ += run;
+        return n;
+      case Policy::Frequency: {
         // Misra-Gries: a miss against a full table decrements every
         // counter; exhausted entries free their slot. The new row is
-        // not inserted (it only wins a slot once incumbents decay).
+        // not inserted (it only wins a slot once incumbents decay), so
+        // a run misses min(n, smallest count) times and any remainder
+        // takes the freed slot.
+        std::uint64_t smallest = table_.front().count;
+        for (const Entry &entry : table_)
+            smallest = std::min(smallest, entry.count);
+        const std::uint64_t misses = std::min(run, smallest);
+        missesSinceRef_ += misses;
         for (Entry &entry : table_)
-            --entry.count;
+            entry.count -= misses;
         std::erase_if(table_,
                       [](const Entry &entry) { return entry.count == 0; });
-        break;
+        if (run > misses)
+            table_.push_back(Entry{flat_bank, row, run - misses});
+        return n;
+      }
       case Policy::Random: {
         // Reservoir sampling over this interval's sampler misses: the
         // k-th miss replaces a uniformly random slot with probability
         // size / (size + k).
+        ++missesSinceRef_;
         const double p = static_cast<double>(params_.samplerSize) /
             static_cast<double>(
                 static_cast<std::uint64_t>(params_.samplerSize) +
@@ -77,9 +96,10 @@ TrrSampler::onActivate(int flat_bank, int row, dram::Cycle now,
                 rng_.uniformInt(0, table_.size() - 1));
             table_[slot] = Entry{flat_bank, row, 1};
         }
-        break;
+        return 1;
       }
     }
+    util::panic("TrrSampler: unknown sampling policy");
 }
 
 void

@@ -81,6 +81,17 @@ class TrrSampler : public Mitigation
                     std::vector<VictimRef> &out) override;
 
     /**
+     * Closed form for a run: a hit or an insertion takes the whole run,
+     * as do InOrder misses and Frequency misses (Misra-Gries decrements
+     * by the run length, or by the smallest count when that frees a
+     * slot the rest of the run then takes). A Random miss draws per
+     * activation, so it consumes one.
+     */
+    [[nodiscard]] std::int64_t onActivateRun(
+        int flat_bank, int row, std::int64_t n, dram::Cycle now,
+        std::vector<VictimRef> &out) override;
+
+    /**
      * Service the sampler: refresh the neighbors of up to
      * refreshSlotsPerRef sampled rows (highest activation count first
      * under the Frequency policy, slot order otherwise), then clear the

@@ -1,6 +1,7 @@
 #include "twice.hh"
 
 #include <algorithm>
+#include <cmath>
 
 #include "util/logging.hh"
 
@@ -12,6 +13,8 @@ TWiCe::TWiCe(double hc_first, const dram::TimingSpec &timing, bool ideal)
 {
     if (hc_first <= 0.0)
         util::fatal("TWiCe: HCfirst must be positive");
+    threshold_ = static_cast<std::uint32_t>(
+        std::min(std::ceil(tRh_), 4294967295.0));
 
     const double refreshes_per_window =
         static_cast<double>(timing.refreshesPerWindow());
@@ -28,24 +31,45 @@ TWiCe::TWiCe(double hc_first, const dram::TimingSpec &timing, bool ideal)
 }
 
 void
-TWiCe::trackVictim(int flat_bank, int row, std::vector<VictimRef> &out)
-{
-    Entry &entry = table_[key(flat_bank, row)];
-    ++entry.actCount;
-    peakTableSize_ = std::max(peakTableSize_, table_.size());
-    if (static_cast<double>(entry.actCount) >= tRh_) {
-        out.push_back(VictimRef{flat_bank, row});
-        table_.erase(key(flat_bank, row));
-    }
-}
-
-void
 TWiCe::onActivate(int flat_bank, int row, dram::Cycle now,
                   std::vector<VictimRef> &out)
 {
+    (void)TWiCe::onActivateRun(flat_bank, row, 1, now, out);
+}
+
+std::int64_t
+TWiCe::onActivateRun(int flat_bank, int row, std::int64_t n,
+                     dram::Cycle now, std::vector<VictimRef> &out)
+{
     (void)now;
-    trackVictim(flat_bank, row - 1, out);
-    trackVictim(flat_bank, row + 1, out);
+    const std::size_t size = table_.size();
+    const auto [lo, lo_new] = table_.try_emplace(key(flat_bank, row - 1));
+    const auto [hi, hi_new] = table_.try_emplace(key(flat_bank, row + 1));
+    const std::int64_t k = std::min(
+        {n, static_cast<std::int64_t>(threshold_) - lo->second.actCount,
+         static_cast<std::int64_t>(threshold_) - hi->second.actCount});
+    lo->second.actCount += static_cast<std::uint32_t>(k);
+    hi->second.actCount += static_cast<std::uint32_t>(k);
+    const bool lo_hit = lo->second.actCount >= threshold_;
+    const bool hi_hit = hi->second.actCount >= threshold_;
+
+    // Table occupancy as the k activations would have seen it one at a
+    // time: the first inserts row - 1's entry, then row + 1's; an entry
+    // reaching tRH on that same first activation is dropped in between.
+    const std::size_t lo_size = size + (lo_new ? 1 : 0);
+    const std::size_t both_size =
+        lo_size + (hi_new ? 1 : 0) - (k == 1 && lo_hit ? 1 : 0);
+    peakTableSize_ = std::max({peakTableSize_, lo_size, both_size});
+
+    if (lo_hit) {
+        out.push_back(VictimRef{flat_bank, row - 1});
+        table_.erase(lo);
+    }
+    if (hi_hit) {
+        out.push_back(VictimRef{flat_bank, row + 1});
+        table_.erase(hi);
+    }
+    return k;
 }
 
 void

@@ -18,8 +18,8 @@
 #define ROWHAMMER_MITIGATION_TWICE_HH
 
 #include <cstdint>
-#include <string>
 #include <map>
+#include <string>
 #include <vector>
 
 #include "dram/timing.hh"
@@ -48,6 +48,12 @@ class TWiCe : public Mitigation
 
     void onActivate(int flat_bank, int row, dram::Cycle now,
                     std::vector<VictimRef> &out) override;
+
+    /** Closed form: consumes the run up to the first activation that
+     *  brings either neighbor's entry to tRH. */
+    [[nodiscard]] std::int64_t onActivateRun(
+        int flat_bank, int row, std::int64_t n, dram::Cycle now,
+        std::vector<VictimRef> &out) override;
 
     void onRefresh(std::uint64_t ref_index, int rows_per_ref,
                    std::vector<VictimRef> &out) override;
@@ -80,10 +86,9 @@ class TWiCe : public Mitigation
             static_cast<std::uint32_t>(row);
     }
 
-    void trackVictim(int flat_bank, int row,
-                     std::vector<VictimRef> &out);
-
     double tRh_;
+    /** Smallest count that triggers a refresh: ceil(tRH). */
+    std::uint32_t threshold_ = 0;
     double pruneRatePerInterval_;
     bool ideal_;
     bool feasible_;

@@ -4,13 +4,16 @@
  * tests over every PatternBuilder output, golden pins of generated
  * patterns, equivalence of the multi-aggressor hammer paths (fault
  * model vs. command-level tester), the multi-aggressor flip
- * de-duplication regression, and the TraceAdapter bridge into the
+ * de-duplication regression, the run-length session checked against a
+ * per-activation reference, and the TraceAdapter bridge into the
  * cycle-accurate stack.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
@@ -27,7 +30,14 @@
 #include "ecc/ondie.hh"
 #include "fault/chip_model.hh"
 #include "fault/chipspec.hh"
+#include "dram/timing.hh"
+#include "mitigation/ideal.hh"
 #include "mitigation/mitigation.hh"
+#include "mitigation/mrloc.hh"
+#include "mitigation/para.hh"
+#include "mitigation/prohit.hh"
+#include "mitigation/trr.hh"
+#include "mitigation/twice.hh"
 #include "softmc/chip_tester.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -529,6 +539,304 @@ TEST(Session, PeriodLongerThanRefWindowIsWellDefined)
     EXPECT_EQ(result.activations, wide.activationBudget());
     EXPECT_EQ(result.refIntervals,
               wide.activationBudget() / session.actsPerRefInterval);
+}
+
+// ------------------------------- run-length session vs. reference
+
+/**
+ * Reference session: the straightforward per-activation replay of the
+ * fully expanded schedule. One addActivations, one onActivate and one
+ * victim pass per ACT; a REF boundary after every actsPerRefInterval
+ * ACTs. runPattern must match it flip for flip.
+ */
+SessionResult
+referenceRunPattern(fault::ChipModel &chip, const AccessPattern &pattern,
+                    mitigation::Mitigation *mechanism,
+                    const SessionConfig &config, Rng &rng)
+{
+    const fault::DataPattern dp =
+        config.dataPattern.value_or(chip.spec().worstPattern);
+    const int bank = pattern.bank;
+    const int rows = chip.geometry().rows;
+
+    chip.writePattern(dp, pattern.victimRow & 1);
+    chip.refreshRow(bank, pattern.victimRow);
+
+    SessionResult result;
+    std::vector<mitigation::VictimRef> scratch;
+    const auto latch_and_refresh = [&](int row) {
+        chip.readRowInto(bank, row, rng, result.flips);
+        chip.refreshRow(bank, row);
+    };
+    const auto apply_victims = [&] {
+        for (const mitigation::VictimRef &ref : scratch) {
+            if (ref.flatBank != bank || ref.row < 0 || ref.row >= rows)
+                continue;
+            latch_and_refresh(ref.row);
+            ++result.mitigationRefreshes;
+        }
+        scratch.clear();
+    };
+
+    const std::vector<int> schedule = pattern.schedule();
+    const int rows_per_ref =
+        config.autoRefreshRotation ? config.rowsPerRef : 0;
+    int rotation = 0;
+    std::uint64_t ref_index = 0;
+
+    for (std::size_t i = 0; i < schedule.size(); ++i) {
+        const int row = schedule[i];
+        chip.addActivations(bank, row, 1);
+        ++result.activations;
+        if (mechanism) {
+            scratch.clear();
+            mechanism->onActivate(bank, row,
+                                  static_cast<dram::Cycle>(i), scratch);
+            apply_victims();
+        }
+
+        if ((static_cast<std::int64_t>(i) + 1) %
+                config.actsPerRefInterval !=
+            0) {
+            continue;
+        }
+        ++result.refIntervals;
+        if (config.autoRefreshRotation) {
+            for (int r = 0; r < config.rowsPerRef; ++r)
+                latch_and_refresh((rotation + r) % rows);
+            rotation = (rotation + config.rowsPerRef) % rows;
+        }
+        if (mechanism) {
+            scratch.clear();
+            mechanism->onRefresh(ref_index, rows_per_ref, scratch);
+            apply_victims();
+        }
+        ++ref_index;
+    }
+
+    int span_lo = pattern.victimRow;
+    int span_hi = pattern.victimRow;
+    for (const AggressorSlot &slot : pattern.slots) {
+        span_lo = std::min(span_lo, slot.row);
+        span_hi = std::max(span_hi, slot.row);
+    }
+    const auto [lo, hi] = chip.blastReadRange(span_lo, span_hi);
+    for (int row = lo; row <= hi; ++row)
+        chip.readRowInto(bank, row, rng, result.flips);
+
+    std::sort(result.flips.begin(), result.flips.end());
+    result.flips.erase(
+        std::unique(result.flips.begin(), result.flips.end()),
+        result.flips.end());
+    return result;
+}
+
+using MechanismFactory =
+    std::function<std::unique_ptr<mitigation::Mitigation>()>;
+
+/** The runSweep roster (None, TRR-2/4/8, PARA, ProHIT, MRLoc,
+ *  TWiCe-ideal, Ideal) at the given chip vulnerability. */
+std::vector<std::pair<std::string, MechanismFactory>>
+sweepRoster(double hc, int rows)
+{
+    const dram::TimingSpec timing = dram::ddr4_2400();
+    std::vector<std::pair<std::string, MechanismFactory>> out;
+    out.emplace_back("None", [] {
+        return std::make_unique<mitigation::NoMitigation>();
+    });
+    for (int size : {2, 4, 8}) {
+        out.emplace_back("TRR-" + std::to_string(size), [size] {
+            return std::make_unique<mitigation::TrrSampler>(
+                31, mitigation::TrrSampler::Params{
+                        .samplerSize = size,
+                        .refreshSlotsPerRef = size});
+        });
+    }
+    out.emplace_back("PARA", [hc, timing] {
+        return std::make_unique<mitigation::Para>(hc, timing, 32);
+    });
+    out.emplace_back("ProHIT", [] {
+        return std::make_unique<mitigation::ProHit>(33);
+    });
+    out.emplace_back("MRLoc", [] {
+        return std::make_unique<mitigation::MrLoc>(34);
+    });
+    out.emplace_back("TWiCe-ideal", [hc, timing] {
+        return std::make_unique<mitigation::TWiCe>(hc, timing, true);
+    });
+    out.emplace_back("Ideal", [hc, rows] {
+        return std::make_unique<mitigation::IdealRefresh>(hc, rows);
+    });
+    return out;
+}
+
+/**
+ * Every pattern family plus the shapes that stress run splitting: a
+ * fuzzer-drawn (REF-synchronized) pattern, and a burst pattern whose
+ * amplitude exceeds the REF interval so runs cross REF boundaries.
+ */
+std::vector<AccessPattern>
+oraclePatterns(int bank, int victim)
+{
+    PatternBuilder builder(
+        BuilderConfig{.rows = 1024, .step = 1, .activationBudget = 12000},
+        19);
+    std::vector<AccessPattern> out;
+    out.push_back(builder.singleSided(bank, victim));
+    out.push_back(builder.doubleSided(bank, victim));
+    out.push_back(builder.nSided(bank, victim, 4));
+    out.push_back(builder.nSided(bank, victim, 10));
+    out.push_back(builder.fuzzed(bank, victim, 0));
+    out.push_back(builder.fuzzed(bank, victim, 3));
+
+    FuzzerConfig fc;
+    fc.geometry = smallGeometry();
+    const FuzzingParameterSet params(fc, 1, 12000);
+    out.push_back(params.sample(bank, victim, 11));
+
+    AccessPattern burst;
+    burst.kind = PatternKind::Fuzzed;
+    burst.label = "burst";
+    burst.bank = bank;
+    burst.victimRow = victim;
+    burst.blastRadius = 3;
+    burst.basePeriod = 2;
+    burst.periods = 3;
+    burst.slots.push_back({victim - 1, 1, 0, 2600});
+    burst.slots.push_back({victim + 3, 2, 0, 3});
+    burst.slots.push_back({victim + 1, 1, 1, 1900});
+    out.push_back(burst);
+    return out;
+}
+
+TEST(SessionOracle, RunLengthSessionMatchesPerActivationReference)
+{
+    constexpr double kHc = 1000.0;
+    const auto roster = sweepRoster(kHc, smallGeometry().rows);
+
+    // The default cadence, intervals that do not divide any period
+    // (97, 7), one longer than HCfirst (a victim refresh applied late
+    // within a run would then let the burst pattern flip), and the
+    // explicit auto-refresh rotation.
+    std::vector<SessionConfig> configs(5);
+    configs[1].actsPerRefInterval = 97;
+    configs[2].actsPerRefInterval = 7;
+    configs[3].actsPerRefInterval = 4096;
+    configs[4].autoRefreshRotation = true;
+    configs[4].rowsPerRef = 8;
+
+    fault::ChipModel probe(denseSpec(), kHc, 9, smallGeometry());
+    const int bank = probe.weakestBank();
+    const int victim = probe.weakestRow();
+
+    std::int64_t flips = 0;
+    std::int64_t refreshes = 0;
+    for (const AccessPattern &pattern : oraclePatterns(bank, victim)) {
+        ASSERT_TRUE(pattern.wellFormed()) << pattern.label;
+        for (std::size_t ci = 0; ci < configs.size(); ++ci) {
+            for (const auto &[name, make] : roster) {
+                SCOPED_TRACE(pattern.label + " vs " + name + " config " +
+                             std::to_string(ci));
+                fault::ChipModel chip_a(denseSpec(), kHc, 9,
+                                        smallGeometry());
+                fault::ChipModel chip_b(denseSpec(), kHc, 9,
+                                        smallGeometry());
+                const auto mech_a = make();
+                const auto mech_b = make();
+                Rng rng_a(77);
+                Rng rng_b(77);
+                const SessionResult fast = runPattern(
+                    chip_a, pattern, mech_a.get(), configs[ci], rng_a);
+                const SessionResult ref = referenceRunPattern(
+                    chip_b, pattern, mech_b.get(), configs[ci], rng_b);
+                EXPECT_EQ(fast.flips, ref.flips);
+                EXPECT_EQ(fast.activations, ref.activations);
+                EXPECT_EQ(fast.refIntervals, ref.refIntervals);
+                EXPECT_EQ(fast.mitigationRefreshes,
+                          ref.mitigationRefreshes);
+                // Both sessions leave the read stream in one place.
+                EXPECT_EQ(rng_a(), rng_b());
+                flips += static_cast<std::int64_t>(ref.flips.size());
+                refreshes += ref.mitigationRefreshes;
+            }
+        }
+    }
+    // The matrix must exercise both flips and victim refreshes.
+    EXPECT_GT(flips, 0);
+    EXPECT_GT(refreshes, 0);
+}
+
+TEST(SessionOracle, UnprotectedSessionMatchesReference)
+{
+    fault::ChipModel probe(denseSpec(), 1000, 9, smallGeometry());
+    for (const AccessPattern &pattern :
+         oraclePatterns(probe.weakestBank(), probe.weakestRow())) {
+        SCOPED_TRACE(pattern.label);
+        fault::ChipModel chip_a(denseSpec(), 1000, 9, smallGeometry());
+        fault::ChipModel chip_b(denseSpec(), 1000, 9, smallGeometry());
+        Rng rng_a(5);
+        Rng rng_b(5);
+        SessionConfig config;
+        config.actsPerRefInterval = 97;
+        const SessionResult fast =
+            runPattern(chip_a, pattern, nullptr, config, rng_a);
+        const SessionResult ref =
+            referenceRunPattern(chip_b, pattern, nullptr, config, rng_b);
+        EXPECT_EQ(fast.flips, ref.flips);
+        EXPECT_EQ(fast.activations, ref.activations);
+        EXPECT_EQ(fast.refIntervals, ref.refIntervals);
+    }
+}
+
+/** A broken mechanism claiming more activations than it was given. */
+class OverConsumingMechanism : public mitigation::Mitigation
+{
+  public:
+    std::string name() const override { return "over"; }
+    void onActivate(int, int, dram::Cycle,
+                    std::vector<mitigation::VictimRef> &) override
+    {
+    }
+    std::int64_t
+    onActivateRun(int, int, std::int64_t n, dram::Cycle,
+                  std::vector<mitigation::VictimRef> &) override
+    {
+        return n + 1;
+    }
+};
+
+TEST(SessionOracle, RunContractViolationPanics)
+{
+    fault::ChipModel chip(denseSpec(), 1000, 9, smallGeometry());
+    PatternBuilder builder(
+        BuilderConfig{.rows = 1024, .step = 1, .activationBudget = 2400},
+        19);
+    const AccessPattern p =
+        builder.doubleSided(chip.weakestBank(), chip.weakestRow());
+    OverConsumingMechanism over;
+    Rng rng(1);
+    EXPECT_THROW(runPattern(chip, p, &over, SessionConfig{}, rng),
+                 util::PanicError);
+}
+
+TEST(Pattern, PeriodRunsRepeatToTheSchedule)
+{
+    fault::ChipModel probe(denseSpec(), 1000, 9, smallGeometry());
+    for (const AccessPattern &pattern :
+         oraclePatterns(probe.weakestBank(), probe.weakestRow())) {
+        const std::vector<ActivationRun> runs = pattern.periodRuns();
+        std::vector<int> stream;
+        for (int period = 0; period < pattern.periods; ++period) {
+            for (const ActivationRun &run : runs) {
+                EXPECT_GT(run.count, 0);
+                stream.insert(stream.end(),
+                              static_cast<std::size_t>(run.count), run.row);
+            }
+        }
+        for (std::size_t i = 1; i < runs.size(); ++i)
+            EXPECT_NE(runs[i].row, runs[i - 1].row) << pattern.label;
+        EXPECT_EQ(stream, pattern.schedule()) << pattern.label;
+    }
 }
 
 TEST(TraceAdapter, FollowsScheduleAndRotatesColumns)

@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <tuple>
+#include <vector>
+
 #include "attack/builder.hh"
 #include "attack/session.hh"
 #include "dram/timing.hh"
@@ -162,6 +167,38 @@ TEST(TWiCe, FeasibilityBoundary)
     EXPECT_FALSE(TWiCe(20000.0, kTiming, false).feasible());
     EXPECT_TRUE(TWiCe(20000.0, kTiming, true).feasible());
     EXPECT_TRUE(TWiCe(128.0, kTiming, true).feasible());
+}
+
+TEST(TWiCe, PeakTableSizeCountsEntriesOneAtATime)
+{
+    // An activation inserts row - 1's entry, retires it if it reached
+    // tRH, and only then inserts row + 1's: with tRH = 1 the two never
+    // coexist.
+    TWiCe single(4.0, kTiming, true);
+    std::vector<VictimRef> out;
+    single.onActivate(0, 100, 0, out);
+    EXPECT_EQ(out.size(), 2u);
+    EXPECT_EQ(single.tableSize(), 0u);
+    EXPECT_EQ(single.peakTableSize(), 1u);
+
+    // tRH = 2: row 101's entry retires before row 103's enters.
+    TWiCe pair(8.0, kTiming, true);
+    out.clear();
+    pair.onActivate(0, 100, 0, out);
+    EXPECT_EQ(pair.peakTableSize(), 2u);
+    pair.onActivate(0, 102, 1, out);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0].row, 101);
+    EXPECT_EQ(pair.tableSize(), 2u);
+    EXPECT_EQ(pair.peakTableSize(), 2u);
+
+    // A run holds both neighbors from its first activation on.
+    TWiCe run(400.0, kTiming, true);
+    out.clear();
+    EXPECT_EQ(run.onActivateRun(0, 100, 250, 0, out), 100);
+    EXPECT_EQ(out.size(), 2u);
+    EXPECT_EQ(run.tableSize(), 0u);
+    EXPECT_EQ(run.peakTableSize(), 2u);
 }
 
 TEST(Ideal, RefreshesJustBeforeThreshold)
@@ -540,6 +577,259 @@ TEST(ProfileGuided, InvalidProfileRejected)
                  rowhammer::util::FatalError);
     EXPECT_THROW(ProfileGuidedRefresh({}, 0),
                  rowhammer::util::FatalError);
+}
+
+// ------------------------------------------- run-length observation
+
+/** A victim tagged with the stream index of the ACT that emitted it
+ *  (-1 - ref_index for victims a REF emitted). */
+using Tagged = std::tuple<std::int64_t, int, int>;
+
+/**
+ * Feed `n` ACTs of (bank, row) to `by_run` through onActivateRun, and
+ * to `by_act` one onActivate at a time, tagging every victim.
+ */
+void
+feedRun(Mitigation &by_run, Mitigation &by_act, int bank, int row,
+        std::int64_t n, std::int64_t &act, std::vector<Tagged> &run_out,
+        std::vector<Tagged> &act_out)
+{
+    std::vector<VictimRef> out;
+    for (std::int64_t done = 0; done < n;) {
+        out.clear();
+        const std::int64_t k =
+            by_run.onActivateRun(bank, row, n - done, act + done, out);
+        ASSERT_GE(k, 1);
+        ASSERT_LE(k, n - done);
+        done += k;
+        for (const VictimRef &v : out)
+            run_out.emplace_back(act + done - 1, v.flatBank, v.row);
+    }
+    for (std::int64_t j = 0; j < n; ++j) {
+        out.clear();
+        by_act.onActivate(bank, row, act + j, out);
+        for (const VictimRef &v : out)
+            act_out.emplace_back(act + j, v.flatBank, v.row);
+    }
+    act += n;
+}
+
+/** Observable state a closed form must keep identical. */
+template <class Mech>
+using Observe = std::function<std::vector<std::size_t>(const Mech &)>;
+
+/**
+ * Property: random (bank, row, n) streams with interleaved REFs give
+ * the same victims at the same ACT indices, and the same observable
+ * state after every step, through onActivateRun as through n
+ * onActivate calls. Returns the number of victims seen.
+ */
+template <class Mech>
+std::size_t
+expectRunsMatchSingleActs(const std::function<std::unique_ptr<Mech>()> &make,
+                          const Observe<Mech> &observe, std::uint64_t seed,
+                          std::uint64_t max_run)
+{
+    const auto by_run = make();
+    const auto by_act = make();
+    util::Rng rng(seed);
+    std::vector<Tagged> run_victims;
+    std::vector<Tagged> act_victims;
+    std::int64_t act = 0;
+    std::uint64_t ref_index = 0;
+    for (int step = 0; step < 3000; ++step) {
+        const int bank = static_cast<int>(rng.uniformInt(0, 1));
+        const int row = static_cast<int>(rng.uniformInt(0, 15));
+        const std::uint64_t cap = rng.bernoulli(0.2) ? 4 * max_run : max_run;
+        const auto n = static_cast<std::int64_t>(rng.uniformInt(1, cap));
+        feedRun(*by_run, *by_act, bank, row, n, act, run_victims,
+                act_victims);
+        if (::testing::Test::HasFatalFailure())
+            return 0;
+        EXPECT_EQ(run_victims.size(), act_victims.size()) << "step " << step;
+        EXPECT_EQ(observe(*by_run), observe(*by_act)) << "step " << step;
+
+        if (rng.bernoulli(0.1)) {
+            const int rows_per_ref = static_cast<int>(rng.uniformInt(0, 2));
+            std::vector<VictimRef> run_ref;
+            std::vector<VictimRef> act_ref;
+            by_run->onRefresh(ref_index, rows_per_ref, run_ref);
+            by_act->onRefresh(ref_index, rows_per_ref, act_ref);
+            const auto tag = -1 - static_cast<std::int64_t>(ref_index);
+            for (const VictimRef &v : run_ref)
+                run_victims.emplace_back(tag, v.flatBank, v.row);
+            for (const VictimRef &v : act_ref)
+                act_victims.emplace_back(tag, v.flatBank, v.row);
+            EXPECT_EQ(run_victims.size(), act_victims.size())
+                << "REF " << ref_index;
+            EXPECT_EQ(observe(*by_run), observe(*by_act));
+            ++ref_index;
+        }
+        if (::testing::Test::HasFailure())
+            return 0;
+    }
+    EXPECT_EQ(run_victims, act_victims);
+    return act_victims.size();
+}
+
+TEST(RunObservation, NoMitigationConsumesWholeRun)
+{
+    const auto victims = expectRunsMatchSingleActs<NoMitigation>(
+        [] { return std::make_unique<NoMitigation>(); },
+        [](const NoMitigation &) { return std::vector<std::size_t>{}; },
+        1, 50);
+    EXPECT_EQ(victims, 0u);
+    NoMitigation none;
+    std::vector<VictimRef> out;
+    EXPECT_EQ(none.onActivateRun(0, 5, 1000, 0, out), 1000);
+}
+
+TEST(RunObservation, TrrSamplerClosedFormsMatchSingleActs)
+{
+    const Observe<TrrSampler> sampled = [](const TrrSampler &trr) {
+        return std::vector<std::size_t>{trr.sampledRows()};
+    };
+    for (TrrSampler::Policy policy :
+         {TrrSampler::Policy::InOrder, TrrSampler::Policy::Frequency,
+          TrrSampler::Policy::Random}) {
+        for (int size : {1, 2, 3, 5}) {
+            SCOPED_TRACE("policy " +
+                         std::to_string(static_cast<int>(policy)) +
+                         " size " + std::to_string(size));
+            const TrrSampler::Params params{.samplerSize = size,
+                                            .policy = policy,
+                                            .refreshSlotsPerRef = 2};
+            const std::size_t victims =
+                expectRunsMatchSingleActs<TrrSampler>(
+                    [params] {
+                        return std::make_unique<TrrSampler>(7, params);
+                    },
+                    sampled, 100 + static_cast<std::uint64_t>(size), 12);
+            EXPECT_GT(victims, 0u);
+        }
+    }
+}
+
+TEST(RunObservation, FrequencyMissRunShorterEqualLongerThanMinCount)
+{
+    // Misra-Gries against a full table holding counts {3, 5}: a miss
+    // run shorter than the minimum only decrements, one equal to it
+    // frees the slot without inserting, and a longer one inserts the
+    // remainder into the freed slot.
+    const TrrSampler::Params params{.samplerSize = 2,
+                                    .policy = TrrSampler::Policy::Frequency,
+                                    .refreshSlotsPerRef = 2};
+    struct Case
+    {
+        std::int64_t run;
+        std::size_t sampled;
+        std::vector<int> serviced; ///< Victim rows REF refreshes.
+    };
+    const std::vector<Case> cases{
+        {2, 2, {19, 21, 9, 11}},  // n < m: counts {1, 3}.
+        {3, 1, {19, 21}},         // n = m: row 10 decays out.
+        {7, 2, {29, 31, 19, 21}}, // n > m: row 30 enters with 4.
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE("run " + std::to_string(c.run));
+        TrrSampler by_run(1, params);
+        TrrSampler by_act(1, params);
+        std::vector<Tagged> run_victims;
+        std::vector<Tagged> act_victims;
+        std::int64_t act = 0;
+        feedRun(by_run, by_act, 0, 10, 3, act, run_victims, act_victims);
+        feedRun(by_run, by_act, 0, 20, 5, act, run_victims, act_victims);
+        feedRun(by_run, by_act, 0, 30, c.run, act, run_victims,
+                act_victims);
+        EXPECT_EQ(by_run.sampledRows(), c.sampled);
+        EXPECT_EQ(by_act.sampledRows(), c.sampled);
+
+        std::vector<VictimRef> run_ref;
+        std::vector<VictimRef> act_ref;
+        by_run.onRefresh(0, 0, run_ref);
+        by_act.onRefresh(0, 0, act_ref);
+        std::vector<int> run_rows;
+        std::vector<int> act_rows;
+        for (const VictimRef &v : run_ref)
+            run_rows.push_back(v.row);
+        for (const VictimRef &v : act_ref)
+            act_rows.push_back(v.row);
+        EXPECT_EQ(run_rows, c.serviced);
+        EXPECT_EQ(act_rows, c.serviced);
+    }
+}
+
+TEST(RunObservation, IdealClosedFormMatchesSingleActs)
+{
+    for (double hc : {2.0, 6.5, 40.0}) {
+        SCOPED_TRACE("hc " + std::to_string(hc));
+        const std::size_t victims =
+            expectRunsMatchSingleActs<IdealRefresh>(
+                [hc] { return std::make_unique<IdealRefresh>(hc, 16); },
+                [](const IdealRefresh &ideal) {
+                    return std::vector<std::size_t>{ideal.trackedRows()};
+                },
+                static_cast<std::uint64_t>(hc * 10), 30);
+        EXPECT_GT(victims, 0u);
+    }
+}
+
+TEST(RunObservation, TWiCeClosedFormMatchesSingleActs)
+{
+    // tRH = 1 makes a fresh entry refresh on its first activation (the
+    // one case where the run's peak occupancy differs from holding both
+    // neighbors at once).
+    for (double hc : {4.0, 10.0, 41.0, 400.0}) {
+        for (bool ideal : {true, false}) {
+            SCOPED_TRACE("hc " + std::to_string(hc) +
+                         (ideal ? " ideal" : ""));
+            const std::size_t victims = expectRunsMatchSingleActs<TWiCe>(
+                [hc, ideal] {
+                    return std::make_unique<TWiCe>(hc, kTiming, ideal);
+                },
+                [](const TWiCe &twice) {
+                    return std::vector<std::size_t>{twice.tableSize(),
+                                                    twice.peakTableSize()};
+                },
+                static_cast<std::uint64_t>(hc), 40);
+            EXPECT_GT(victims, 0u);
+        }
+    }
+}
+
+TEST(RunObservation, DefaultConsumesExactlyOneActivation)
+{
+    // Randomized mechanisms keep their per-ACT draw order: the default
+    // onActivateRun reports one ACT, exactly as onActivate would.
+    Para para_run(1000, kTiming, 5);
+    Para para_act(1000, kTiming, 5);
+    ProHit prohit_run(6);
+    ProHit prohit_act(6);
+    MrLoc mrloc_run(7);
+    MrLoc mrloc_act(7);
+    const std::vector<std::pair<Mitigation *, Mitigation *>> pairs{
+        {&para_run, &para_act},
+        {&prohit_run, &prohit_act},
+        {&mrloc_run, &mrloc_act}};
+    for (const auto &[by_run, by_act] : pairs) {
+        SCOPED_TRACE(by_run->name());
+        std::vector<VictimRef> run_out;
+        std::vector<VictimRef> act_out;
+        for (int i = 0; i < 4000; ++i) {
+            const int row = 100 + 2 * (i % 7);
+            EXPECT_EQ(by_run->onActivateRun(0, row, 1 + i % 9, i, run_out),
+                      1);
+            by_act->onActivate(0, row, i, act_out);
+            if (i % 170 == 169) {
+                by_run->onRefresh(static_cast<std::uint64_t>(i), 0, run_out);
+                by_act->onRefresh(static_cast<std::uint64_t>(i), 0, act_out);
+            }
+        }
+        ASSERT_EQ(run_out.size(), act_out.size());
+        EXPECT_FALSE(run_out.empty());
+        for (std::size_t i = 0; i < run_out.size(); ++i)
+            EXPECT_EQ(run_out[i].row, act_out[i].row);
+    }
 }
 
 } // namespace
