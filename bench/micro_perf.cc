@@ -2,14 +2,18 @@
  * @file
  * Google-benchmark microbenchmarks of the simulation substrates: DRAM
  * command issue, controller ticks, fault-model hammering, the attack
- * fast path, and ECC decode throughput. These bound the wall-clock cost of the experiment
- * harness itself.
+ * fast path, ECC decode throughput, and checkpoint-store puts. These
+ * bound the wall-clock cost of the experiment harness itself.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <stdlib.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "attack/fuzzer.hh"
@@ -23,7 +27,10 @@
 #include "mitigation/factory.hh"
 #include "mitigation/trr.hh"
 #include "sim/controller.hh"
+#include "util/io.hh"
 #include "util/logging.hh"
+#include "util/run_store.hh"
+#include "util/serialize.hh"
 #include "workload/synthetic.hh"
 
 using namespace rowhammer;
@@ -239,6 +246,57 @@ BM_HcFirstSearch(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_HcFirstSearch);
+
+// One RunStore::put into a store already holding N records (the arg),
+// on the real filesystem under a temp dir: the put's encoding plus
+// what it writes and fsyncs. The N records are written up front as
+// one file image (header, then per record u32 length, u32 CRC-32 and
+// u64 key + value) and loaded, so filling costs O(N) whatever put()
+// does; one untimed put then takes the store's first-write cost. A
+// fixed 100 timed puts keep the store within 10% of N.
+void
+BM_RunStorePut(benchmark::State &state)
+{
+    const std::uint64_t hash = 1;
+    const auto records = static_cast<std::uint64_t>(state.range(0));
+    const std::string value(32, 'v');
+    char templ[] = "/tmp/rh_bm_run_store_XXXXXX";
+    const std::string dir = ::mkdtemp(templ);
+    const std::string path = util::RunStore::pathInDir(dir, hash);
+
+    util::ByteWriter header;
+    header.u32(util::RunStore::kFormatVersion);
+    header.u64(hash);
+    std::string image = "RHRS" + header.bytes();
+    for (std::uint64_t key = 0; key < records; ++key) {
+        util::ByteWriter payload;
+        payload.u64(key);
+        const std::string framed = payload.bytes() + value;
+        util::ByteWriter frame;
+        frame.u32(static_cast<std::uint32_t>(framed.size()));
+        frame.u32(util::crc32(framed));
+        image += frame.bytes() + framed;
+    }
+    if (!util::atomicWriteFile(util::Io::system(), path, image))
+        state.SkipWithError("cannot write the pre-filled store");
+
+    {
+        util::RunStore store(path, hash);
+        if (store.load() != records)
+            state.SkipWithError("pre-filled store did not load");
+        std::uint64_t key = records;
+        store.put(key++, value);
+        for (auto _ : state)
+            store.put(key++, value);
+        if (!store.persistent())
+            state.SkipWithError("store stopped persisting");
+    }
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_RunStorePut)->Arg(1000)->Arg(10000)->Iterations(100)->Unit(
+    benchmark::kMicrosecond);
 
 } // namespace
 

@@ -55,12 +55,7 @@ enum class MsgType : std::uint32_t
     Fig10 = 2,       ///< Mitigation-overhead sweep (ExperimentConfig).
     AttackSweep = 3, ///< Attack-pattern sweep (SweepConfig).
     HcFirst = 4,     ///< Population HCfirst measurement.
-    Reply = 5,       ///< Server -> client answer.
-    /** Fuzzing campaign (FuzzerConfig). Frame + codec are live; the
-     *  engine answers UnsupportedType until serving lands in a
-     *  follow-on (the campaign is minutes-long and needs streamed
-     *  progress, not one memoized reply). */
-    FuzzCampaign = 6,
+    Reply = 5,       ///< Server -> client answer; the last type.
 };
 
 /** Reply status codes. */

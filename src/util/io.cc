@@ -123,9 +123,29 @@ class PosixIo : public Io
         }
         return true;
     }
+
+    bool
+    appendFile(const std::string &path, const std::string &bytes) override
+    {
+        const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
+        if (fd < 0)
+            return false;
+        const bool ok = writeAllFd(fd, bytes) && ::fsync(fd) == 0;
+        return ::close(fd) == 0 && ok;
+    }
 };
 
 } // namespace
+
+bool
+Io::appendFile(const std::string &path, const std::string &bytes)
+{
+    std::string contents;
+    if (!readFile(path, contents))
+        return false;
+    contents += bytes;
+    return atomicWriteFile(*this, path, contents);
+}
 
 Io &
 Io::system()
@@ -174,12 +194,11 @@ FaultInjectingIo::openForWrite(const std::string &path)
     return base_.openForWrite(path);
 }
 
-long
-FaultInjectingIo::write(int fd, const void *buf, std::size_t count)
+std::size_t
+FaultInjectingIo::writeBudget(std::size_t count) const
 {
-    ++writeCalls_;
     if (failAfterBytes >= 0 && bytesWritten_ >= failAfterBytes)
-        return -1; // Disk full.
+        return 0; // Disk full.
     std::size_t capped = count;
     if (shortWriteLimit >= 0) {
         capped = std::min(capped,
@@ -188,9 +207,17 @@ FaultInjectingIo::write(int fd, const void *buf, std::size_t count)
     if (failAfterBytes >= 0) {
         capped = std::min(capped, static_cast<std::size_t>(
                                       failAfterBytes - bytesWritten_));
-        if (capped == 0)
-            return -1;
     }
+    return capped;
+}
+
+long
+FaultInjectingIo::write(int fd, const void *buf, std::size_t count)
+{
+    ++writeCalls_;
+    const std::size_t capped = writeBudget(count);
+    if (failAfterBytes >= 0 && capped == 0)
+        return -1; // Disk full.
     const long n = base_.write(fd, buf, capped);
     if (n > 0)
         bytesWritten_ += n;
@@ -270,6 +297,24 @@ bool
 FaultInjectingIo::writeAllFd(int fd, const std::string &data)
 {
     return base_.writeAllFd(fd, data);
+}
+
+bool
+FaultInjectingIo::appendFile(const std::string &path,
+                             const std::string &bytes)
+{
+    if (failOpen)
+        return false;
+    std::size_t done = 0;
+    while (done < bytes.size()) {
+        ++writeCalls_;
+        const std::size_t n = writeBudget(bytes.size() - done);
+        if (n == 0 || !base_.appendFile(path, bytes.substr(done, n)))
+            return false; // What landed so far stays: a torn tail.
+        bytesWritten_ += static_cast<long>(n);
+        done += n;
+    }
+    return !failFsync;
 }
 
 } // namespace rowhammer::util

@@ -6,12 +6,14 @@
  * unreadable files — and prove the store degrades to recompute-with-a-
  * warning instead of crashing or silently corrupting results.
  *
- * The production implementation (Io::system()) is plain POSIX. The
- * write path is atomicWriteFile(): write the full contents to
- * `<path>.tmp`, fsync, close, rename over `<path>` — rename(2) is
- * atomic on POSIX, so a reader (or a resumed run after SIGKILL) sees
- * either the old complete file or the new complete file, never a torn
- * one.
+ * The production implementation (Io::system()) is plain POSIX. There
+ * are two write paths. atomicWriteFile() writes the full contents to
+ * `<path>.tmp`, fsyncs, closes and renames over `<path>` — rename(2)
+ * is atomic on POSIX, so a reader (or a resumed run after SIGKILL)
+ * sees either the old complete file or the new complete file, never a
+ * torn one. appendFile() adds bytes to the end of an existing file and
+ * fsyncs; a crash mid-append can leave a torn tail, which the caller's
+ * format must detect (RunStore's CRC frames do).
  */
 
 #ifndef ROWHAMMER_UTIL_IO_HH
@@ -87,6 +89,17 @@ class Io
     [[nodiscard]] virtual bool writeAllFd(int fd,
                                           const std::string &data) = 0;
 
+    /**
+     * Append `bytes` to the existing file `path` and make them durable
+     * (fsync); false on any failure, including a missing file — an
+     * append never creates a file. A failure may leave a prefix of
+     * `bytes` behind. The default goes through the other virtuals
+     * (readFile, then atomicWriteFile of old + bytes): correct for any
+     * Io, but O(file size); Io::system() appends in place.
+     */
+    [[nodiscard]] virtual bool appendFile(const std::string &path,
+                                          const std::string &bytes);
+
     /** The process-wide POSIX implementation. */
     static Io &system();
 };
@@ -101,7 +114,12 @@ class Io
 
 /**
  * Test double wrapping another Io with an injectable fault plan.
- * Faults target the write path; reads pass through unchanged.
+ * Faults target the write paths; reads pass through unchanged.
+ * appendFile() applies the same plan as write(): the bytes go to the
+ * base Io's appendFile in chunks of at most shortWriteLimit (each one
+ * a write call), stop at failAfterBytes (leaving the torn prefix on
+ * disk), and failOpen/failFsync fail the append before/after the
+ * bytes land.
  */
 class FaultInjectingIo : public Io
 {
@@ -141,8 +159,14 @@ class FaultInjectingIo : public Io
     [[nodiscard]] bool truncateFd(int fd) override;
     [[nodiscard]] bool writeAllFd(int fd,
                                   const std::string &data) override;
+    [[nodiscard]] bool appendFile(const std::string &path,
+                                  const std::string &bytes) override;
 
   private:
+    /** Bytes the fault plan lets one write of `count` bytes through:
+     *  capped by shortWriteLimit and failAfterBytes, 0 = disk full. */
+    std::size_t writeBudget(std::size_t count) const;
+
     Io &base_;
     long bytesWritten_ = 0;
     int writeCalls_ = 0;

@@ -53,6 +53,20 @@ hex64(std::uint64_t v)
     return out;
 }
 
+/** Append one record frame: u32 length, u32 CRC, u64 key + value. */
+void
+appendFrame(std::string &out, std::uint64_t key, const std::string &value)
+{
+    ByteWriter payload;
+    payload.u64(key);
+    std::string framed = payload.bytes() + value;
+    ByteWriter frame;
+    frame.u32(static_cast<std::uint32_t>(framed.size()));
+    frame.u32(crc32(framed));
+    out += frame.bytes();
+    out += framed;
+}
+
 } // namespace
 
 std::uint32_t
@@ -155,6 +169,7 @@ RunStore::load()
     acquireLockLocked();
     records_.clear();
     order_.clear();
+    appendable_ = false; // The next write compacts whatever was read.
 
     // A crash between atomicWriteFile's write and rename leaves an
     // orphaned temp file behind; sweep it so it cannot pile up (and so
@@ -233,24 +248,15 @@ RunStore::get(std::uint64_t key) const
 }
 
 std::string
-RunStore::encodeFile() const
+RunStore::encodeImageLocked() const
 {
     std::string out(kMagic, 4);
     ByteWriter header;
     header.u32(kFormatVersion);
     header.u64(configHash_);
     out += header.bytes();
-    for (std::uint64_t key : order_) {
-        ByteWriter payload;
-        payload.u64(key);
-        const std::string &value = records_.at(key);
-        std::string framed = payload.bytes() + value;
-        ByteWriter frame;
-        frame.u32(static_cast<std::uint32_t>(framed.size()));
-        frame.u32(crc32(framed));
-        out += frame.bytes();
-        out += framed;
-    }
+    for (std::uint64_t key : order_)
+        appendFrame(out, key, records_.at(key));
     return out;
 }
 
@@ -259,18 +265,27 @@ RunStore::put(std::uint64_t key, std::string value)
 {
     std::lock_guard<std::mutex> lock(mu_);
     acquireLockLocked(); // No-op unless exclusive and not yet held.
-    if (!records_.emplace(key, std::move(value)).second)
+    const auto [it, inserted] = records_.emplace(key, std::move(value));
+    if (!inserted)
         return; // Shard already recorded.
     order_.push_back(key);
     if (!persistent_)
         return;
 
-    // Ensure the parent directory exists on the first write.
-    const std::size_t slash = path_.rfind('/');
-    if (slash != std::string::npos && slash > 0)
-        io_->makeDirs(path_.substr(0, slash));
-
-    if (!atomicWriteFile(*io_, path_, encodeFile())) {
+    bool ok = false;
+    if (appendable_) {
+        std::string frame;
+        appendFrame(frame, key, it->second);
+        ok = io_->appendFile(path_, frame);
+    } else {
+        // Ensure the parent directory exists on the first write.
+        const std::size_t slash = path_.rfind('/');
+        if (slash != std::string::npos && slash > 0)
+            io_->makeDirs(path_.substr(0, slash));
+        appendable_ = atomicWriteFile(*io_, path_, encodeImageLocked());
+        ok = appendable_;
+    }
+    if (!ok) {
         warn("run store " + path_ +
              ": write failed (disk full?); checkpointing disabled "
              "for this run, results are unaffected");

@@ -1,8 +1,8 @@
 /**
  * @file
  * Crash-safe shard-result store under the sweep grids: an append-only,
- * CRC32-framed, version-stamped binary record store, persisted via
- * write-temp-then-rename (atomic on POSIX) through the util::Io seam.
+ * CRC32-framed, version-stamped binary record log, written through the
+ * util::Io seam.
  *
  * One store file holds the completed shards of ONE run description: the
  * file is stamped with the content hash of the serialized config
@@ -13,13 +13,26 @@
  * per-cell seeding makes a resumed sweep byte-identical to an
  * uninterrupted one.
  *
+ * On disk: a 16-byte header (magic, kFormatVersion, config hash), then
+ * one frame per record in insertion order (u32 payload length, u32
+ * CRC-32, payload = u64 key + value). Each put() encodes its own frame
+ * once and appends it (Io::appendFile, fsynced), so a put costs the
+ * same at record 10 as at record 10,000. The first write of each
+ * RunStore instance, and the first write after any load(), instead
+ * compacts: it replaces the file atomically (atomicWriteFile) with
+ * the header and every record held in memory. That rewrites a file
+ * written by anyone else, and drops a torn or corrupt tail that load()
+ * stopped at, so no append ever lands behind bytes load() would not
+ * read past.
+ *
  * Failure contract (the reason this file exists): nothing here ever
  * crashes a run or silently corrupts a result. A missing, truncated,
  * bit-flipped, stale-version, or wrong-config file degrades to "those
  * shards recompute" with a warn(); a write failure (ENOSPC, fsync)
- * degrades to "this run stops checkpointing" with a warn(). Torn
- * updates cannot happen: the file is replaced atomically and every
- * record's payload is CRC-checked on load.
+ * degrades to "this run stops checkpointing" with a warn(). A crash
+ * mid-append leaves a torn last frame: load() keeps the valid prefix
+ * (every payload is CRC-checked) and drops the tail, so the torn shard
+ * recomputes.
  */
 
 #ifndef ROWHAMMER_UTIL_RUN_STORE_HH
@@ -104,10 +117,11 @@ class RunStore
     }
 
     /**
-     * Record a completed shard and persist the store atomically. On a
-     * write failure the record is kept in memory (the sweep's own
-     * result is unaffected), a warning is printed once, and further
-     * persistence is disabled for this store.
+     * Record a completed shard and persist it: append its frame, or
+     * compact the whole store on the instance's first write (see file
+     * comment). On a write failure the record is kept in memory (the
+     * sweep's own result is unaffected), a warning is printed once,
+     * and further persistence is disabled for this store.
      */
     void put(std::uint64_t key, std::string value);
 
@@ -119,8 +133,9 @@ class RunStore
     const std::string &path() const { return path_; }
 
   private:
-    /** Serialize header + records in insertion order. */
-    std::string encodeFile() const;
+    /** Header + every record's frame in insertion order (mu_ held):
+     *  the compacted file image. */
+    std::string encodeImageLocked() const;
 
     /** Take the advisory lock (mu_ held); FatalError on conflict. */
     void acquireLockLocked();
@@ -138,6 +153,9 @@ class RunStore
     std::map<std::uint64_t, std::string> records_;
     std::vector<std::uint64_t> order_; ///< Keys in insertion order.
     bool persistent_ = true;
+    /** True once the file on disk is known to hold exactly the header
+     *  and order_'s frames, so the next put may append. */
+    bool appendable_ = false;
     bool quarantined_ = false;
     int lockFd_ = -1;
 };

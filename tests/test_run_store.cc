@@ -5,7 +5,10 @@
  * checkpoint format (round-trips, header validation), and the
  * corruption fuzz the ISSUE demands — truncation at every byte
  * boundary and single-bit flips over the whole file must degrade to
- * recompute-with-a-warning, never a crash or a silently wrong record.
+ * recompute-with-a-warning, never a crash or a silently wrong record —
+ * and the append-only log semantics: per-put appends produce exactly
+ * the full-image encoding, torn tails are compacted away, and bytes
+ * written grow linearly with the record count.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/io.hh"
@@ -161,6 +165,49 @@ TEST(AtomicWrite, FsyncAndRenameFailuresReported)
     }
     std::string out;
     EXPECT_FALSE(Io::system().readFile(path, out));
+}
+
+/** A FaultInjectingIo whose appendFile is Io's default (read, then
+ *  atomically rewrite old + new bytes), as for any Io that does not
+ *  override it. */
+class DefaultAppendIo : public FaultInjectingIo
+{
+  public:
+    using FaultInjectingIo::FaultInjectingIo;
+
+    [[nodiscard]] bool
+    appendFile(const std::string &path, const std::string &bytes) override
+    {
+        return Io::appendFile(path, bytes);
+    }
+};
+
+TEST(AppendFile, AppendsToExistingFilesAndNeverCreatesOne)
+{
+    DefaultAppendIo default_io(Io::system());
+    for (Io *io : {&Io::system(), static_cast<Io *>(&default_io)}) {
+        TempDir dir;
+        const std::string path = dir.path() + "/log.bin";
+        EXPECT_FALSE(io->appendFile(path, "orphan"));
+        EXPECT_FALSE(Io::system().fileExists(path));
+
+        writeAll(path, "head");
+        EXPECT_TRUE(io->appendFile(path, std::string("\0-1", 3)));
+        EXPECT_TRUE(io->appendFile(path, ""));
+        EXPECT_TRUE(io->appendFile(path, "-2"));
+        EXPECT_EQ(readAll(path), std::string("head\0-1-2", 9));
+    }
+}
+
+TEST(AppendFile, DefaultFailureLeavesTheFileUntouched)
+{
+    TempDir dir;
+    const std::string path = dir.path() + "/log.bin";
+    writeAll(path, "complete");
+    DefaultAppendIo io(Io::system());
+    io.failRename = true;
+    EXPECT_FALSE(io.appendFile(path, "lost"));
+    EXPECT_EQ(readAll(path), "complete");
 }
 
 TEST(RunStore, RoundTripAcrossInstances)
@@ -494,6 +541,296 @@ TEST(RunStore, ConcurrentPutsAllLand)
     for (std::uint64_t k = 0; k < 64; ++k) {
         ASSERT_NE(reloaded.get(k), nullptr);
         EXPECT_EQ(*reloaded.get(k), "v" + std::to_string(k));
+    }
+}
+
+// ------------------------------------------------------ append-only log
+
+using Records = std::vector<std::pair<std::uint64_t, std::string>>;
+
+/**
+ * Reference encoder: the whole-file image (header, then one CRC frame
+ * per record in insertion order) exactly as the store wrote it when
+ * every put() rewrote the file. The log must keep producing these
+ * bytes, so files written before and after the change interoperate.
+ */
+std::string
+referenceImage(std::uint64_t hash, const Records &records)
+{
+    ByteWriter header;
+    header.u32(RunStore::kFormatVersion);
+    header.u64(hash);
+    std::string out = "RHRS" + header.bytes();
+    for (const auto &[key, value] : records) {
+        ByteWriter payload;
+        payload.u64(key);
+        const std::string framed = payload.bytes() + value;
+        ByteWriter frame;
+        frame.u32(static_cast<std::uint32_t>(framed.size()));
+        frame.u32(crc32(framed));
+        out += frame.bytes() + framed;
+    }
+    return out;
+}
+
+Records
+sampleRecords(std::size_t n)
+{
+    Records records;
+    for (std::size_t i = 0; i < n; ++i) {
+        records.emplace_back(0x9E3779B97F4A7C15ull * (i + 1),
+                             "shard-" + std::to_string(i) +
+                                 std::string(i % 7, '\0'));
+    }
+    return records;
+}
+
+void
+putAll(RunStore &store, const Records &records)
+{
+    for (const auto &[key, value] : records)
+        store.put(key, value);
+}
+
+void
+expectHolds(RunStore &store, const Records &records)
+{
+    EXPECT_EQ(store.size(), records.size());
+    for (const auto &[key, value] : records) {
+        const std::string *got = store.get(key);
+        ASSERT_NE(got, nullptr) << "key " << key;
+        EXPECT_EQ(*got, value) << "key " << key;
+    }
+}
+
+TEST(RunStoreLog, AppendedFileEqualsTheFullImage)
+{
+    // Through the POSIX append and through Io's default one.
+    DefaultAppendIo default_io(Io::system());
+    for (Io *io : {&Io::system(), static_cast<Io *>(&default_io)}) {
+        TempDir dir;
+        const std::uint64_t hash = 0xA5A5;
+        const std::string path = RunStore::pathInDir(dir.path(), hash);
+        const Records records = sampleRecords(40);
+
+        RunStore store(path, hash, io);
+        EXPECT_EQ(store.load(), 0u);
+        for (std::size_t i = 0; i < records.size(); ++i) {
+            store.put(records[i].first, records[i].second);
+            store.put(records[i].first, "duplicate is a no-op");
+            const Records prefix(records.begin(),
+                                 records.begin() + i + 1);
+            ASSERT_EQ(readAll(path), referenceImage(hash, prefix))
+                << "after put " << i;
+        }
+
+        // A second instance resumes and keeps extending the image.
+        const Records more = sampleRecords(55);
+        RunStore resumed(path, hash, io);
+        EXPECT_EQ(resumed.load(), records.size());
+        putAll(resumed, Records(more.begin() + 40, more.end()));
+        EXPECT_EQ(readAll(path), referenceImage(hash, more));
+    }
+}
+
+TEST(RunStoreLog, StoreWrittenByTheWholeFileRewriterLoadsAndAppends)
+{
+    // Bytes of a three-record store written when every put() rewrote
+    // the whole file (config hash 0x1122334455667788).
+    const std::string old_file(
+        "\x52\x48\x52\x53\x01\x00\x00\x00\x88\x77\x66\x55\x44\x33\x22"
+        "\x11\x0d\x00\x00\x00\x70\x51\x20\xc4\x01\x00\x00\x00\x00\x00"
+        "\x00\x00\x61\x6c\x70\x68\x61\x0b\x00\x00\x00\xa7\x40\xcd\xd2"
+        "\x10\x32\x54\x76\x98\xba\xdc\xfe\x00\xff\x0a\x08\x00\x00\x00"
+        "\x70\xd6\xe7\x6f\x07\x00\x00\x00\x00\x00\x00\x00",
+        72);
+    const std::uint64_t hash = 0x1122334455667788ull;
+    Records records{{1, "alpha"},
+                    {0xFEDCBA9876543210ull, std::string("\x00\xFF\n", 3)},
+                    {7, ""}};
+    ASSERT_EQ(old_file, referenceImage(hash, records));
+
+    TempDir dir;
+    const std::string path = dir.path() + "/old.rst";
+    writeAll(path, old_file);
+    RunStore store(path, hash);
+    EXPECT_EQ(store.load(), 3u);
+    expectHolds(store, records);
+    store.put(42, "appended");
+    store.put(43, "and again");
+    records.emplace_back(42, "appended");
+    records.emplace_back(43, "and again");
+    EXPECT_EQ(readAll(path), referenceImage(hash, records));
+
+    RunStore reloaded(path, hash);
+    EXPECT_EQ(reloaded.load(), records.size());
+    expectHolds(reloaded, records);
+}
+
+TEST(RunStoreLog, TornTailIsCompactedAwayByTheNextPut)
+{
+    TempDir dir;
+    const std::uint64_t hash = 31;
+    const std::string path = dir.path() + "/store.rst";
+    Records records = sampleRecords(6);
+    {
+        RunStore writer(path, hash);
+        putAll(writer, records);
+    }
+    // Cut in the middle of the last frame, as a crash mid-append does.
+    const std::string full = readAll(path);
+    const std::size_t last_frame =
+        referenceImage(hash, Records(records.begin(), records.end() - 1))
+            .size();
+    writeAll(path,
+             full.substr(0, last_frame + (full.size() - last_frame) / 2));
+
+    RunStore store(path, hash);
+    EXPECT_EQ(store.load(), 5u);
+    records.pop_back();
+    store.put(1000, "after the tear");
+    store.put(1001, "and one more append");
+    records.emplace_back(1000, "after the tear");
+    records.emplace_back(1001, "and one more append");
+    // The new records are not hidden behind the torn bytes.
+    EXPECT_EQ(readAll(path), referenceImage(hash, records));
+    RunStore reloaded(path, hash);
+    EXPECT_EQ(reloaded.load(), records.size());
+    expectHolds(reloaded, records);
+
+    // The same holds for an instance that already wrote: after its
+    // own load() drops a torn tail, its next put compacts too.
+    const std::string image = readAll(path);
+    writeAll(path, image.substr(0, image.size() - 3));
+    EXPECT_EQ(store.load(), records.size() - 1);
+    records.pop_back();
+    store.put(1002, "after the second tear");
+    records.emplace_back(1002, "after the second tear");
+    EXPECT_EQ(readAll(path), referenceImage(hash, records));
+}
+
+TEST(RunStoreLog, PutBeforeLoadNeverAppendsToAForeignFile)
+{
+    TempDir dir;
+    const std::string path = dir.path() + "/store.rst";
+    writeAll(path, referenceImage(111, sampleRecords(3)));
+
+    // No load(): the file on disk belongs to another run description.
+    RunStore store(path, 222);
+    store.put(5, "mine");
+    store.put(6, "also mine");
+    const Records mine{{5, "mine"}, {6, "also mine"}};
+    EXPECT_EQ(readAll(path), referenceImage(222, mine));
+    RunStore reloaded(path, 222);
+    EXPECT_EQ(reloaded.load(), 2u);
+    expectHolds(reloaded, mine);
+}
+
+TEST(RunStoreLog, BytesWrittenGrowLinearlyWithRecords)
+{
+    TempDir dir;
+    FaultInjectingIo io(Io::system());
+    const std::string path = dir.path() + "/store.rst";
+    const Records records = sampleRecords(1000);
+    {
+        RunStore store(path, 9, &io);
+        putAll(store, records);
+        EXPECT_TRUE(store.persistent());
+    }
+    const std::string file = readAll(path);
+    EXPECT_EQ(file, referenceImage(9, records));
+    // At most one compacted image on top of the appended frames; a
+    // whole-file rewrite per put would write ~500x the file size.
+    EXPECT_LE(io.bytesWritten(), static_cast<long>(2 * file.size()));
+
+    // A resume compacts once, then appends again.
+    const Records more = sampleRecords(1500);
+    FaultInjectingIo resume_io(Io::system());
+    RunStore resumed(path, 9, &resume_io);
+    EXPECT_EQ(resumed.load(), 1000u);
+    putAll(resumed, Records(more.begin() + 1000, more.end()));
+    const std::string grown = readAll(path);
+    EXPECT_EQ(grown, referenceImage(9, more));
+    EXPECT_LE(resume_io.bytesWritten(),
+              static_cast<long>(2 * grown.size()));
+}
+
+TEST(RunStoreLog, ShortAppendsStillWriteTheWholeFile)
+{
+    TempDir dir;
+    FaultInjectingIo io(Io::system());
+    io.shortWriteLimit = 3;
+    const std::string path = dir.path() + "/store.rst";
+    const Records records = sampleRecords(12);
+    RunStore store(path, 4, &io);
+    putAll(store, records);
+    EXPECT_TRUE(store.persistent());
+    EXPECT_EQ(readAll(path), referenceImage(4, records));
+    // Every append was split into 3-byte writes.
+    EXPECT_GE(io.writeCalls(),
+              static_cast<int>(readAll(path).size() / 3));
+}
+
+TEST(RunStoreLog, DiskFullMidFrameKeepsEveryEarlierRecord)
+{
+    TempDir dir;
+    FaultInjectingIo io(Io::system());
+    const std::string path = dir.path() + "/store.rst";
+    Records records = sampleRecords(5);
+    RunStore store(path, 6, &io);
+    putAll(store, records);
+    ASSERT_TRUE(store.persistent());
+
+    // The disk fills 10 bytes into the next frame (header + part of
+    // the key): the torn frame stays on disk.
+    io.failAfterBytes = io.bytesWritten() + 10;
+    store.put(77, "never fully written");
+    EXPECT_FALSE(store.persistent());
+    EXPECT_EQ(readAll(path).size(),
+              referenceImage(6, records).size() + 10);
+    // In memory nothing is lost.
+    ASSERT_NE(store.get(77), nullptr);
+    EXPECT_EQ(*store.get(77), "never fully written");
+
+    // A reload recovers every record written before the failure, and
+    // the next run's first put compacts the torn frame away.
+    RunStore reloaded(path, 6);
+    EXPECT_EQ(reloaded.load(), records.size());
+    expectHolds(reloaded, records);
+    reloaded.put(78, "next run");
+    records.emplace_back(78, "next run");
+    EXPECT_EQ(readAll(path), referenceImage(6, records));
+}
+
+TEST(RunStoreLog, AppendFsyncAndOpenFailuresDisablePersistence)
+{
+    for (const bool fail_fsync : {true, false}) {
+        TempDir dir;
+        FaultInjectingIo io(Io::system());
+        const std::string path = dir.path() + "/store.rst";
+        const Records records = sampleRecords(4);
+        RunStore store(path, 12, &io);
+        store.put(records[0].first, records[0].second); // Compaction.
+        ASSERT_TRUE(store.persistent());
+
+        if (fail_fsync)
+            io.failFsync = true;
+        else
+            io.failOpen = true;
+        for (std::size_t i = 1; i < records.size(); ++i)
+            store.put(records[i].first, records[i].second);
+        EXPECT_FALSE(store.persistent());
+        // Results are unchanged: every record is served from memory.
+        expectHolds(store, records);
+
+        // Only the records before the failed append are guaranteed on
+        // disk; an un-fsynced append may or may not have landed.
+        RunStore reloaded(path, 12);
+        const std::size_t n = reloaded.load();
+        EXPECT_GE(n, 1u);
+        EXPECT_LE(n, fail_fsync ? 2u : 1u);
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(*reloaded.get(records[i].first), records[i].second);
     }
 }
 

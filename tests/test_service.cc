@@ -31,6 +31,7 @@
 #include "service/requests.hh"
 #include "service/server.hh"
 #include "util/io.hh"
+#include "util/run_store.hh"
 #include "util/serialize.hh"
 #include "util/transport.hh"
 
@@ -160,33 +161,19 @@ TEST(Protocol, HeaderBitFlipFuzzNeverCrashes)
     }
 }
 
-TEST(Protocol, FuzzCampaignFrameAndCodec)
+TEST(Protocol, TypeSixIsNoLongerAFrameType)
 {
-    // The new request type is a first-class frame citizen...
-    const std::string frame = encodeFrame(MsgType::FuzzCampaign, "");
+    // Type 6 was a fuzz-campaign stub that no client sent. It now
+    // decodes like any other unknown type: rejected with a reason.
+    util::ByteWriter type6;
+    type6.u32(kProtocolMagic);
+    type6.u32(kProtocolVersion);
+    type6.u32(6);
+    type6.u32(0);
+    type6.u32(util::crc32(""));
     std::string why;
-    const auto h =
-        decodeFrameHeader(frame.substr(0, kFrameHeaderBytes), why);
-    ASSERT_TRUE(h.has_value()) << why;
-    EXPECT_EQ(h->type, MsgType::FuzzCampaign);
-
-    // ...and its codec roundtrips the run description bit-exactly.
-    FuzzCampaignRequest req;
-    req.config.seed = 77;
-    req.config.generations = 3;
-    req.config.population = 5;
-    req.config.baselineNSides = {4, 8};
-    const std::string bytes = req.encode();
-    FuzzCampaignRequest out;
-    ASSERT_TRUE(FuzzCampaignRequest::decode(bytes, out));
-    EXPECT_EQ(out.config.hash(), req.config.hash());
-
-    // Truncation at any boundary is a recognized failure, never UB.
-    for (std::size_t n = 0; n < bytes.size(); ++n) {
-        EXPECT_FALSE(
-            FuzzCampaignRequest::decode(bytes.substr(0, n), out));
-    }
-    EXPECT_FALSE(FuzzCampaignRequest::decode(bytes + "x", out));
+    EXPECT_FALSE(decodeFrameHeader(type6.bytes(), why).has_value());
+    EXPECT_NE(why.find("type 6"), std::string::npos) << why;
 }
 
 TEST(Protocol, ReplyRoundTripAndRejects)
@@ -363,13 +350,12 @@ TEST(Engine, MalformedAndUnsupportedAreTyped)
     EXPECT_EQ(engine.handle(MsgType::Ping, "").status, Status::Ok);
     EXPECT_EQ(engine.handle(MsgType::Reply, "").status,
               Status::UnsupportedType);
-    // The fuzz-campaign stub: recognized, typed, and refused without
-    // crashing (serving lands in a follow-on).
-    const Reply fuzz = engine.handle(
-        MsgType::FuzzCampaign,
-        encodeRequestPayload(0, FuzzCampaignRequest{}.encode()));
-    EXPECT_EQ(fuzz.status, Status::UnsupportedType);
-    EXPECT_FALSE(fuzz.message.empty());
+    // A type outside the enum (6 was the retired fuzz-campaign stub)
+    // is refused, typed, without crashing.
+    const Reply unknown = engine.handle(
+        static_cast<MsgType>(6), encodeRequestPayload(0, "config"));
+    EXPECT_EQ(unknown.status, Status::UnsupportedType);
+    EXPECT_FALSE(unknown.message.empty());
     EXPECT_EQ(engine.handle(MsgType::Fig10, "xy").status,
               Status::MalformedRequest);
     EXPECT_EQ(engine
@@ -569,6 +555,45 @@ TEST(ServeConnection, GarbageHeaderGetsTypedErrorAndClose)
     EXPECT_NE(reply.message.find("magic"), std::string::npos);
 
     // The stream was desynchronized, so the server closed it.
+    std::string rest;
+    EXPECT_NE(util::readExact(conn.client(), rest, 1),
+              util::ReadStatus::Ok);
+}
+
+TEST(ServeConnection, TypeSixFrameGetsTypedErrorAndClose)
+{
+    ServiceFixture fx;
+    ServedConnection conn(*fx.server);
+
+    // A well-formed frame of the retired fuzz-campaign type, payload
+    // and all: the server must answer with a typed error and close,
+    // not crash or wait for more bytes.
+    const std::string payload = encodeRequestPayload(0, "config");
+    util::ByteWriter header;
+    header.u32(kProtocolMagic);
+    header.u32(kProtocolVersion);
+    header.u32(6);
+    header.u32(static_cast<std::uint32_t>(payload.size()));
+    header.u32(util::crc32(payload));
+    EXPECT_TRUE(util::writeAll(conn.client(), header.bytes() + payload));
+
+    std::string reply_header;
+    ASSERT_EQ(
+        util::readExact(conn.client(), reply_header, kFrameHeaderBytes),
+        util::ReadStatus::Ok);
+    std::string why;
+    const auto h = decodeFrameHeader(reply_header, why);
+    ASSERT_TRUE(h.has_value()) << why;
+    ASSERT_EQ(h->type, MsgType::Reply);
+    std::string reply_bytes;
+    ASSERT_EQ(util::readExact(conn.client(), reply_bytes, h->payloadLen),
+              util::ReadStatus::Ok);
+    Reply reply;
+    ASSERT_TRUE(decodeReply(reply_bytes, reply));
+    EXPECT_EQ(reply.status, Status::MalformedRequest);
+    EXPECT_NE(reply.message.find("type 6"), std::string::npos)
+        << reply.message;
+
     std::string rest;
     EXPECT_NE(util::readExact(conn.client(), rest, 1),
               util::ReadStatus::Ok);
