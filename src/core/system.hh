@@ -11,16 +11,16 @@
  * address (see sim::AddressMapper) and the System routes the request
  * to that channel's controller.
  *
- * Two execution engines produce bit-identical results: the reference
- * lockstep engine (step(): every controller ticks one device cycle,
- * then the CPU side runs) and the epoch engine (advanceEpoch():
- * channels advance in parallel on util::EpochGang workers up to the
- * next cycle at which any controller can call back into the CPU,
- * syncing with the CPU side only at request-enqueue points). See
- * docs/ARCHITECTURE.md, "Threading model", for the determinism
- * argument. SystemConfig::threads selects the worker count and
- * SystemConfig::lockstep forces the reference engine; neither affects
- * results, so neither is part of the serialized config.
+ * Two execution engines produce bit-identical results. Serial epochs
+ * (run()'s default) are the product engine: the CPU side runs ahead
+ * to the next cycle at which any controller can call back into it,
+ * and each channel catches up lazily, only when the CPU enqueues into
+ * it or the epoch closes. Lockstep step() (every controller ticks one
+ * device cycle, then the CPU side runs) is the reference that tests
+ * pin the epoch engine against; SystemConfig::lockstep selects it.
+ * See docs/ARCHITECTURE.md, "Execution engine", for the equivalence
+ * argument. The engine choice does not affect results, so it is not
+ * part of the serialized config.
  */
 
 #ifndef ROWHAMMER_CORE_SYSTEM_HH
@@ -34,7 +34,6 @@
 #include "cpu/core.hh"
 #include "mitigation/mitigation.hh"
 #include "sim/controller.hh"
-#include "util/taskpool.hh"
 #include "workload/synthetic.hh"
 
 namespace rowhammer::core
@@ -63,13 +62,6 @@ struct SystemConfig
      *  engine toggle is execution-only and is not). */
     sim::Controller::Config controller;
 
-    /**
-     * Intra-system parallelism: total threads the System may use while
-     * stepping (1 = serial; N > 1 runs min(N - 1, channels) channel
-     * workers alongside the calling thread). Results are bit-identical
-     * for every value, so this is excluded from serialize()/hash().
-     */
-    int threads = 1;
     /** Force the reference lockstep engine (tests pin the epoch engine
      *  against it). Execution-only; not serialized. */
     bool lockstep = false;
@@ -157,19 +149,6 @@ class System
      */
     void step();
 
-    /**
-     * Epoch engine: advance the whole system by one epoch — up to the
-     * earliest cycle at which any controller can fire a read
-     * completion (or the epoch cap) — with channels running in
-     * parallel when config.threads > 1. Falls back to a single step()
-     * whenever a completion is due, which is therefore the only place
-     * completion callbacks fire, in canonical channel order; results
-     * are bit-identical to the lockstep engine at any thread count.
-     * `stop` is polled once per device step (like run()'s retirement
-     * check in lockstep mode) and ends the epoch early.
-     */
-    void advanceEpoch(const std::function<bool()> &stop = {});
-
   private:
     struct PendingHit
     {
@@ -194,26 +173,20 @@ class System
     sim::ControllerStats aggregateMemStats() const;
 
     /**
-     * Run `fn` with channel `ch`'s shard lock held (epoch engine) or
-     * directly (serial/lockstep). All mid-step controller access from
-     * the CPU side goes through here.
+     * Epoch engine: advance the whole system by one epoch — up to the
+     * earliest cycle at which any controller can fire a read
+     * completion (or the epoch cap). Falls back to a single step()
+     * whenever a completion is due, which is therefore the only place
+     * completion callbacks fire, in canonical channel order; results
+     * are bit-identical to the lockstep engine. `stop` is polled once
+     * per device step (like run()'s retirement check in lockstep mode)
+     * and ends the epoch early.
      */
-    template <typename Fn>
-    void withChannel(int ch, Fn &&fn)
-    {
-        if (gang_)
-            gang_->withShard(ch, std::forward<Fn>(fn));
-        else
-            fn();
-    }
+    void advanceEpoch(const std::function<bool()> &stop);
 
     SystemConfig config_;
     /** One memory controller per channel. */
     std::vector<std::unique_ptr<sim::Controller>> controllers_;
-    /** Channel workers for the epoch engine (nullptr when
-     *  config.threads <= 1 or config.lockstep). Declared after
-     *  controllers_ so workers join before controllers die. */
-    std::unique_ptr<util::EpochGang> gang_;
     /** Routing copy of the active address mapping (each controller
      *  compiles its own identical instance for decode-at-enqueue). */
     sim::AddressMapper mapper_;
@@ -232,11 +205,13 @@ class System
      * Cycle a channel must be advanced to before the CPU side may
      * inspect or enqueue into it — the position the lockstep engine
      * would have it at when the current CPU device-step's requests
-     * land. Maintained by both engines; sendFromCore syncs on demand.
+     * land. Maintained by both engines; during an epoch the channels
+     * trail the CPU and sendFromCore catches one up on demand.
      */
     dram::Cycle chanSyncTarget_ = 0;
-    /** Current epoch's exclusive horizon (caller-thread copy; the
-     *  gang's atomic mirrors it). Shrinks when a read is enqueued. */
+    /** Current epoch's exclusive horizon: the earliest cycle at which
+     *  a channel could call back into the CPU (or the epoch cap). The
+     *  CPU side stops short of it; an enqueued read can shrink it. */
     dram::Cycle epochHorizon_ = 0;
     /** Upper bound on epoch length, so an idle memory system still
      *  surfaces run()'s non-convergence guard periodically. */

@@ -20,6 +20,10 @@
  *   SIGTERM drain cancels    -> Status::ShuttingDown
  *   config rejected/fatal    -> Status::InternalError with the message
  *   undecodable payload      -> Status::MalformedRequest
+ *   framed type not served   -> Status::UnsupportedType
+ *   rejected frame header    -> Status::MalformedRequest, and the
+ *                               Server closes the connection (bad
+ *                               magic, version, type or length)
  * No request outcome ever terminates the daemon.
  */
 

@@ -63,7 +63,10 @@ enum class Status : std::uint32_t
 {
     Ok = 0,
     MalformedRequest = 1, ///< Bad frame or undecodable payload.
-    UnsupportedType = 2,  ///< Unknown MsgType or protocol version.
+    /** A well-framed request whose type the engine does not serve.
+     *  An unknown type or protocol version fails decodeFrameHeader()
+     *  and gets MalformedRequest instead. */
+    UnsupportedType = 2,
     RetryLater = 3,       ///< Admission queue full — load shedding.
     DeadlineExceeded = 4, ///< The request's compute deadline fired.
     ShuttingDown = 5,     ///< SIGTERM drain in progress.

@@ -24,7 +24,10 @@
 #include "core/experiment.hh"
 #include "dram/address_functions.hh"
 #include "fault/population.hh"
+#include "service/engine.hh"
+#include "service/requests.hh"
 #include "util/io.hh"
+#include "util/run_store.hh"
 #include "util/serialize.hh"
 #include "util/taskpool.hh"
 
@@ -240,7 +243,6 @@ TEST(SerializeCoverage, SystemConfigResultFields)
 TEST(SerializeCoverage, SystemConfigExecutionKnobs)
 {
     const core::SystemConfig base;
-    expectExecutionOnly("threads", base, [](auto &c) { c.threads = 7; });
     expectExecutionOnly("lockstep", base,
                         [](auto &c) { c.lockstep = true; });
     expectExecutionOnly("controller.eventDriven", base, [](auto &c) {
@@ -273,8 +275,6 @@ TEST(SerializeCoverage, ExperimentConfigExecutionKnobs)
 {
     const core::ExperimentConfig base;
     expectExecutionOnly("threads", base, [](auto &c) { c.threads = 9; });
-    expectExecutionOnly("systemThreads", base,
-                        [](auto &c) { c.systemThreads = 4; });
     expectExecutionOnly("checkpointPath", base, [](auto &c) {
         c.checkpointPath = "/tmp/elsewhere";
     });
@@ -387,6 +387,69 @@ TEST(SerializeCoverage, FuzzerConfigExecutionKnobs)
     expectExecutionOnly("pool", base, [&](auto &c) { c.pool = &pool; });
     expectExecutionOnly("batchDeadlineMs", base,
                         [](auto &c) { c.batchDeadlineMs = 60000; });
+}
+
+// ----------------------------------------------------- pinned hashes
+
+/**
+ * The Figure 10 run description that bench/fig10_common.hh's
+ * fig10ConfigFromEnv() builds when no RH_F10_* knob is set, spelled
+ * out field by field so the pin does not depend on the environment.
+ * `channels` and `mapping` stand in for RH_F10_CHANNELS and
+ * RH_F10_MAPPING.
+ */
+core::ExperimentConfig
+fig10DefaultConfig(int channels, const std::string &mapping)
+{
+    core::ExperimentConfig config;
+    config.system.cores = 8;
+    config.instructionsPerCore = 100000;
+    config.warmupInstructions = config.instructionsPerCore / 8;
+    config.mixCount = 2;
+    config.system.organization.rows = 512;
+    config.system.llcBytes = 1LL * 1024 * 1024;
+    config.coldBytesPerApp = 2LL * 1024 * 1024;
+    config.system.organization.ranks = 1;
+    config.system.organization.channels = channels;
+    config.system.addressFunctions = dram::AddressFunctions::resolve(
+        mapping, config.system.organization);
+    config.mixIndices = {0, 47};
+    return config;
+}
+
+/** rhd's memo key for a Figure 10 query at the bench HCfirst sweep. */
+std::uint64_t
+fig10MemoKey(const core::ExperimentConfig &config)
+{
+    service::Fig10Request request;
+    request.config = config;
+    request.hcFirsts = {200000, 69200, 32000, 17500, 10000, 4800,
+                        2000,   1024,  512,   256,   128,   64};
+    return service::memoKey(service::MsgType::Fig10, request.encode());
+}
+
+/**
+ * Literal hashes of the default run descriptions. Checkpoint file
+ * names (RunStore::pathInDir) and rhd memo keys are derived from
+ * them, so any drift orphans every existing store: a resumed fig10
+ * run would recompute from scratch and a warm daemon would miss.
+ * Adding or removing an execution-only field must leave these values
+ * alone; a deliberate schema change updates them and says so.
+ */
+TEST(SerializeCoverage, DefaultConfigHashesArePinned)
+{
+    EXPECT_EQ(core::SystemConfig{}.hash(), 0xa65d9e9a79e408a6ULL);
+
+    const core::ExperimentConfig one = fig10DefaultConfig(1, "linear");
+    EXPECT_EQ(one.hash(), 0x3360e2fb2cd2a436ULL);
+    EXPECT_EQ(util::RunStore::pathInDir("ckpt", one.hash()),
+              "ckpt/3360e2fb2cd2a436.rst");
+    EXPECT_EQ(fig10MemoKey(one), 0xbffa373af7d4fe8bULL);
+
+    const core::ExperimentConfig two =
+        fig10DefaultConfig(2, "channel-xor");
+    EXPECT_EQ(two.hash(), 0xf4e660b11be499b5ULL);
+    EXPECT_EQ(fig10MemoKey(two), 0x5a143d3453a3f708ULL);
 }
 
 // ------------------------------------------------- round-trip sanity
