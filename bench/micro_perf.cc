@@ -28,6 +28,7 @@
 #include "sim/controller.hh"
 #include "util/io.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 #include "util/run_store.hh"
 #include "util/serialize.hh"
 #include "workload/synthetic.hh"
@@ -100,6 +101,35 @@ BM_ControllerRowHit(benchmark::State &state)
 BENCHMARK(BM_ControllerRowHit);
 
 void
+BM_ControllerDeepQueue(benchmark::State &state)
+{
+    // A full 64-entry read queue spread over all 16 banks, four rows
+    // per bank, refilled every cycle: each step's FR-FCFS scan sees the
+    // whole queue and every bank, unlike the single-bank ticks above.
+    const dram::Organization org = dram::table6Organization();
+    sim::Controller ctrl(org, dram::ddr4_2400());
+    util::Rng rng(1);
+    for (auto _ : state) {
+        while (ctrl.readQueueSpace() > 0) {
+            dram::Address a = org.bankAddress(static_cast<int>(
+                rng.uniformInt(0, static_cast<std::uint64_t>(
+                                      org.totalBanks() - 1))));
+            a.row = static_cast<int>(rng.uniformInt(0, 3));
+            a.column = static_cast<int>(rng.uniformInt(
+                0, static_cast<std::uint64_t>(org.columns - 1)));
+            sim::Request r;
+            r.addr = ctrl.mapper().encode(a);
+            r.type = sim::Request::Type::Read;
+            // Guarded by readQueueSpace() above; cannot be refused.
+            (void)ctrl.enqueue(std::move(r));
+        }
+        ctrl.tick();
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_ControllerDeepQueue);
+
+void
 BM_ExperimentStep(benchmark::State &state)
 {
     // One multicore experiment step (device cycle + CPU cycles) with
@@ -124,23 +154,30 @@ BENCHMARK(BM_ExperimentStep);
 void
 BM_SystemRun(benchmark::State &state)
 {
-    // A whole multi-channel system run per execution engine: arg 0 =
-    // the reference lockstep engine, 1 = serial epochs (the product
-    // engine). Results are bit-identical across args; only wall-clock
-    // should move.
+    // A whole system run. Arg 0 = 4 cores on 4 channel-xor channels
+    // under the reference lockstep engine, 1 = the same under serial
+    // epochs (the product engine); their results are bit-identical, so
+    // only wall-clock should move. Arg 2 = the stall-heavy arm: 8 cores
+    // on one channel running catalogue mix 36 (270 summed MPKI) under
+    // serial epochs, so windows fill on pending reads and the CPU side
+    // mostly waits on the controller.
+    const bool stall_heavy = state.range(0) == 2;
     core::SystemConfig config;
-    config.cores = 4;
+    config.cores = stall_heavy ? 8 : 4;
     config.organization.rows = 512;
-    config.organization.channels = 4;
+    config.organization.channels = stall_heavy ? 1 : 4;
     config.llcBytes = 1024 * 1024;
-    config.addressFunctions = dram::AddressFunctions::resolve(
-        "channel-xor", config.organization);
+    if (!stall_heavy) {
+        config.addressFunctions = dram::AddressFunctions::resolve(
+            "channel-xor", config.organization);
+    }
     config.lockstep = state.range(0) == 0;
     const auto mixes =
         workload::mixCatalogue(config.cores, 2 * 1024 * 1024);
+    const workload::Mix &mix = stall_heavy ? mixes[36] : mixes[0];
     for (auto _ : state) {
         // Fresh System per iteration: run() is run-to-completion.
-        core::System system(config, mixes[0].apps, 1);
+        core::System system(config, mix.apps, 1);
         std::vector<std::unique_ptr<mitigation::Mitigation>> paras;
         std::vector<mitigation::Mitigation *> attached;
         for (int ch = 0; ch < config.organization.channels; ++ch) {
@@ -155,7 +192,11 @@ BM_SystemRun(benchmark::State &state)
     }
     state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SystemRun)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SystemRun)
+    ->Arg(0)
+    ->Arg(1)
+    ->Arg(2)
+    ->Unit(benchmark::kMillisecond);
 
 void
 BM_ChipModelHammer(benchmark::State &state)

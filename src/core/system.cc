@@ -319,11 +319,34 @@ System::advanceEpoch(const std::function<bool()> &stop)
     // land.
     epochHorizon_ = std::min(bound, start + kEpochCapCycles);
     dram::Cycle t = start;
-    do {
+    while (true) {
         chanSyncTarget_ = t + 1;
         cpuDeviceStep();
         ++t;
-    } while (!stop() && t < epochHorizon_);
+        if (stop() || t >= epochHorizon_)
+            break;
+        if (hitQueue_.empty() &&
+            std::all_of(cores_.begin(), cores_.end(),
+                        [](const auto &c) { return c->parked(); })) {
+            // Every core waits on a read no channel can return before
+            // the horizon and no LLC hit is pending, so nothing reaches
+            // a core (or lets it retire or send) until then: each CPU
+            // cycle left only counts itself. Replay the budget
+            // arithmetic so cpuCycle_ and every core's cycles stay
+            // bit-identical, and jump to the horizon.
+            std::int64_t cycles = 0;
+            for (; t < epochHorizon_; ++t) {
+                for (cpuBudget_ += cpuRatio_; cpuBudget_ >= 1.0;
+                     cpuBudget_ -= 1.0) {
+                    ++cycles;
+                }
+            }
+            cpuCycle_ += cycles;
+            for (auto &c : cores_)
+                c->skipCycles(cycles);
+            break;
+        }
+    }
     // Close the epoch at t: every channel catches up to the CPU. No
     // completion can fire during the catch-up — deadlines sit at or
     // beyond the horizon, and advanceTo(t) only executes cycles below

@@ -30,11 +30,7 @@ Core::tick()
 
     // Issue up to the issue width.
     for (int i = 0; i < issueWidth_; ++i) {
-        if (!haveEntry_) {
-            entry_ = trace_.next();
-            pendingBubbles_ = entry_.bubbles;
-            haveEntry_ = true;
-        }
+        fetchEntry();
         if (static_cast<int>(windowCount_) >= windowSize_)
             break;
         if (pendingBubbles_ > 0) {
@@ -64,6 +60,15 @@ Core::tick()
         ++stats_.memReads;
         haveEntry_ = false;
     }
+}
+
+void
+Core::skipCycles(std::int64_t n)
+{
+    if (n <= 0)
+        return;
+    stats_.cycles += n;
+    fetchEntry();
 }
 
 } // namespace rowhammer::cpu

@@ -88,6 +88,21 @@ class Core
     /** In-flight window occupancy (tests). */
     std::size_t windowOccupancy() const { return windowCount_; }
 
+    /**
+     * True when the window is full and its head still waits for data.
+     * Until a completion callback marks the head done, a tick() only
+     * counts a cycle (and fetches the next trace entry if none is
+     * pending), which skipCycles() does in one call.
+     */
+    bool parked() const
+    {
+        return static_cast<int>(windowCount_) == windowSize_ &&
+            !window_[windowHead_].done;
+    }
+
+    /** Exactly `n` tick()s of a parked core. */
+    void skipCycles(std::int64_t n);
+
   private:
     struct WindowEntry
     {
@@ -120,6 +135,16 @@ class Core
     {
         windowHead_ = (windowHead_ + 1) % window_.size();
         --windowCount_;
+    }
+
+    /** Fetch the next trace entry unless one is pending. */
+    void fetchEntry()
+    {
+        if (haveEntry_)
+            return;
+        entry_ = trace_.next();
+        pendingBubbles_ = entry_.bubbles;
+        haveEntry_ = true;
     }
     /** Bubbles still to issue before the pending memory access. */
     int pendingBubbles_ = 0;

@@ -46,10 +46,7 @@ Controller::Controller(dram::Organization org, dram::TimingSpec timing,
     nextRefreshAt_ = timing.tREFI;
     stats_.ranks = org_.ranks;
     bankLastUse_.assign(static_cast<std::size_t>(org_.totalBanks()), 0);
-    protectedMask_.assign(
-        (static_cast<std::size_t>(org_.totalBanks()) + 63) / 64, 0);
-    openRowByBank_.assign(static_cast<std::size_t>(org_.totalBanks()),
-                          -1);
+    bankScan_.resize(static_cast<std::size_t>(org_.totalBanks()));
 }
 
 void
@@ -88,6 +85,7 @@ bool
 Controller::enqueue(Request request)
 {
     request.decoded = mapper_.decode(request.addr);
+    request.flatBank = org_.flatBank(request.decoded);
     request.arrival = now_;
 
     if (request.type == Request::Type::Write) {
@@ -233,42 +231,41 @@ Controller::tryIssueRefresh()
 }
 
 void
-Controller::refreshOpenRows() const
+Controller::scanQueue(const std::deque<Request> &queue) const
 {
-    dram::Address addr;
-    for (addr.rank = 0; addr.rank < org_.ranks; ++addr.rank) {
-        for (addr.bankGroup = 0; addr.bankGroup < org_.bankGroups;
-             ++addr.bankGroup) {
-            for (addr.bank = 0; addr.bank < org_.banksPerGroup;
-                 ++addr.bank) {
-                openRowByBank_[static_cast<std::size_t>(
-                    org_.flatBank(addr))] =
-                    device_.isOpen(addr) ? device_.openRow(addr) : -1;
-            }
+    ++scanStamp_;
+    int index = 0;
+    for (const Request &request : queue) {
+        const dram::Address &addr = request.decoded;
+        BankScan &bank =
+            bankScan_[static_cast<std::size_t>(request.flatBank)];
+        if (bank.stamp != scanStamp_) {
+            bank = BankScan{scanStamp_,
+                            device_.isOpen(addr) ? device_.openRow(addr)
+                                                 : -1,
+                            -1, -1};
         }
+        int &first = addr.row == bank.openRow ? bank.firstHit
+                                              : bank.firstMiss;
+        if (first < 0)
+            first = index;
+        ++index;
     }
 }
 
-void
-Controller::computeProtectedBanks(bool include_reads,
-                                  bool include_writes) const
+bool
+Controller::hasQueuedHit(const dram::Address &addr) const
 {
-    refreshOpenRows();
-    std::fill(protectedMask_.begin(), protectedMask_.end(), 0);
-    auto scan = [&](const std::deque<Request> &queue) {
-        for (const Request &request : queue) {
-            const auto flat = static_cast<std::size_t>(
-                org_.flatBank(request.decoded));
-            if (request.decoded.row >= 0 &&
-                openRowByBank_[flat] == request.decoded.row) {
-                protectedMask_[flat / 64] |= 1ULL << (flat % 64);
-            }
-        }
-    };
-    if (include_reads)
-        scan(readQueue_);
-    if (include_writes)
-        scan(writeQueue_);
+    // Only the actively-served queue can make progress, so only it
+    // protects banks.
+    const auto &queue = drainingWrites_ ? writeQueue_ : readQueue_;
+    const int flat = org_.flatBank(addr);
+    const int row = device_.openRow(addr);
+    return std::any_of(queue.begin(), queue.end(),
+                       [&](const Request &request) {
+                           return request.decoded.row == row &&
+                               request.flatBank == flat;
+                       });
 }
 
 bool
@@ -281,13 +278,10 @@ Controller::tryIssueVictimRefresh()
     if (!vr.activated) {
         // Let queued row hits on this bank drain first; closing their
         // row mid-burst would force extra activations (row thrash).
-        // Only the actively-served queue can make progress, so only it
-        // protects banks.
         if (device_.isOpen(vr.addr) &&
-            device_.openRow(vr.addr) != vr.addr.row) {
-            computeProtectedBanks(!drainingWrites_, drainingWrites_);
-            if (protectedBank(org_.flatBank(vr.addr)))
-                return false;
+            device_.openRow(vr.addr) != vr.addr.row &&
+            hasQueuedHit(vr.addr)) {
+            return false;
         }
         if (device_.isOpen(vr.addr) &&
             device_.openRow(vr.addr) == vr.addr.row) {
@@ -321,40 +315,6 @@ Controller::tryIssueVictimRefresh()
         acted_ = true;
         return true;
     }
-    return true;
-}
-
-bool
-Controller::issueForRequest(Request &request, bool row_hit_only)
-{
-    const dram::Address &addr = request.decoded;
-    const bool is_read = request.type == Request::Type::Read;
-    const bool open = device_.isOpen(addr);
-    const bool row_hit = open && device_.openRow(addr) == addr.row;
-
-    if (row_hit_only && !row_hit)
-        return false;
-
-    if (row_hit) {
-        const auto cmd = is_read ? dram::Command::RD : dram::Command::WR;
-        if (!device_.canIssue(cmd, addr, now_))
-            return false;
-        device_.issue(cmd, addr, now_);
-        bankLastUse_[static_cast<std::size_t>(org_.flatBank(addr))] =
-            now_;
-        return true;
-    }
-    if (open) {
-        if (!device_.canIssue(dram::Command::PRE, addr, now_))
-            return false;
-        device_.issue(dram::Command::PRE, addr, now_);
-        return true;
-    }
-    if (!device_.canIssue(dram::Command::ACT, addr, now_))
-        return false;
-    device_.issue(dram::Command::ACT, addr, now_);
-    bankLastUse_[static_cast<std::size_t>(org_.flatBank(addr))] = now_;
-    observeActivate(addr);
     return true;
 }
 
@@ -410,55 +370,67 @@ Controller::tryIssueDemand()
     if (queue.empty())
         return false;
 
-    // Banks whose open row still has queued row-hit requests must not
-    // be precharged by younger conflicting requests (hit priority).
-    computeProtectedBanks(!serve_writes, serve_writes);
-
-    // FR-FCFS: oldest row-hit first, then oldest overall.
-    for (int pass = 0; pass < 2; ++pass) {
-        const bool row_hit_only = pass == 0;
-        for (std::size_t i = 0; i < queue.size(); ++i) {
-            Request &request = queue[i];
-            const int flat = org_.flatBank(request.decoded);
-            const int open_row =
-                openRowByBank_[static_cast<std::size_t>(flat)];
-            const bool row_hit = open_row == request.decoded.row;
-            // A conflicting request must wait while the open row still
-            // serves queued hits.
-            if (!row_hit_only && !row_hit && open_row >= 0 &&
-                protectedBank(flat)) {
-                continue;
-            }
-            const bool will_finish =
-                row_hit &&
-                device_.canIssue(request.type == Request::Type::Read
-                                     ? dram::Command::RD
-                                     : dram::Command::WR,
-                                 request.decoded, now_);
-            if (!issueForRequest(request, row_hit_only))
-                continue;
-            acted_ = true;
-            if (will_finish) {
-                if (request.type == Request::Type::Read) {
-                    ++stats_.readsServed;
-                    if (request.onComplete) {
-                        completions_.emplace_back(
-                            device_.readDataAt(now_),
-                            std::move(request.onComplete));
-                        std::push_heap(completions_.begin(),
-                                       completions_.end(),
-                                       CompletionLater{});
-                    }
-                } else {
-                    ++stats_.writesServed;
-                }
-                queue.erase(queue.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-            }
-            return true;
+    // FR-FCFS in one scan: the oldest row hit whose RD/WR is legal,
+    // else the oldest non-hit of a bank with no queued hit to its open
+    // row (hit priority: younger conflicts must not precharge it) whose
+    // PRE/ACT is legal. Device state cannot change before this step's
+    // one command and the served queue holds one request type, so each
+    // bank's oldest hit and oldest non-hit stand for all of its entries
+    // and each (bank, command) legality is asked at most once.
+    scanQueue(queue);
+    const dram::Command hit_cmd =
+        serve_writes ? dram::Command::WR : dram::Command::RD;
+    int pick = -1;
+    dram::Command cmd = hit_cmd;
+    const auto consider = [&](int index, dram::Command candidate) {
+        if (index >= 0 && (pick < 0 || index < pick) &&
+            device_.canIssue(candidate,
+                             queue[static_cast<std::size_t>(index)].decoded,
+                             now_)) {
+            pick = index;
+            cmd = candidate;
         }
+    };
+    for (const BankScan &bank : bankScan_) {
+        if (bank.stamp == scanStamp_)
+            consider(bank.firstHit, hit_cmd);
     }
-    return false;
+    if (pick < 0) {
+        for (const BankScan &bank : bankScan_) {
+            if (bank.stamp == scanStamp_ && bank.firstHit < 0) {
+                consider(bank.firstMiss, bank.openRow >= 0
+                                             ? dram::Command::PRE
+                                             : dram::Command::ACT);
+            }
+        }
+        if (pick < 0)
+            return false;
+    }
+
+    Request &request = queue[static_cast<std::size_t>(pick)];
+    const dram::Address &addr = request.decoded;
+    device_.issue(cmd, addr, now_);
+    acted_ = true;
+    if (cmd == dram::Command::PRE)
+        return true;
+    bankLastUse_[static_cast<std::size_t>(request.flatBank)] = now_;
+    if (cmd == dram::Command::ACT) {
+        observeActivate(addr);
+        return true;
+    }
+    if (request.type == Request::Type::Read) {
+        ++stats_.readsServed;
+        if (request.onComplete) {
+            completions_.emplace_back(device_.readDataAt(now_),
+                                      std::move(request.onComplete));
+            std::push_heap(completions_.begin(), completions_.end(),
+                           CompletionLater{});
+        }
+    } else {
+        ++stats_.writesServed;
+    }
+    queue.erase(queue.begin() + pick);
+    return true;
 }
 
 void
@@ -497,25 +469,21 @@ Controller::demandWake() const
     if (queue.empty())
         return wake;
 
-    computeProtectedBanks(!serve_writes, serve_writes);
-    for (const Request &request : queue) {
-        const int flat = org_.flatBank(request.decoded);
-        const int open_row =
-            openRowByBank_[static_cast<std::size_t>(flat)];
-        const bool row_hit = open_row == request.decoded.row;
-        dram::Command cmd;
-        if (row_hit) {
-            cmd = request.type == Request::Type::Read ? dram::Command::RD
-                                                      : dram::Command::WR;
-        } else if (open_row >= 0) {
-            if (protectedBank(flat))
-                continue; // Never attempted while the bank is protected.
-            cmd = dram::Command::PRE;
-        } else {
-            cmd = dram::Command::ACT;
-        }
-        wake = std::min(wake,
-                        device_.earliest(cmd, request.decoded, now_));
+    // Mirrors tryIssueDemand: a bank with a queued hit waits only on
+    // its RD/WR; any other bank on the PRE/ACT its oldest non-hit needs.
+    scanQueue(queue);
+    const dram::Command hit_cmd =
+        serve_writes ? dram::Command::WR : dram::Command::RD;
+    for (const BankScan &bank : bankScan_) {
+        if (bank.stamp != scanStamp_)
+            continue;
+        const bool hit = bank.firstHit >= 0;
+        const dram::Command cmd = hit ? hit_cmd
+            : bank.openRow >= 0       ? dram::Command::PRE
+                                      : dram::Command::ACT;
+        const Request &request = queue[static_cast<std::size_t>(
+            hit ? bank.firstHit : bank.firstMiss)];
+        wake = std::min(wake, device_.earliest(cmd, request.decoded, now_));
     }
     return wake;
 }
@@ -591,8 +559,7 @@ Controller::computeWake() const
             wake = std::min(wake, device_.earliest(dram::Command::PRE,
                                                    vr.addr, now_));
         } else if (open && device_.openRow(vr.addr) != vr.addr.row) {
-            computeProtectedBanks(!drainingWrites_, drainingWrites_);
-            if (protectedBank(org_.flatBank(vr.addr))) {
+            if (hasQueuedHit(vr.addr)) {
                 // Deferring to demand traffic; the protection can only
                 // change when something else acts.
             } else {

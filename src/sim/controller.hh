@@ -6,6 +6,13 @@
  * auto-refresh, and a mitigation hook that injects targeted victim-row
  * refreshes and scales the refresh rate.
  *
+ * A demand step is one pass over the served queue plus O(banks)
+ * device queries: the pass records each bank's oldest row hit and
+ * oldest non-hit; the oldest hit whose RD/WR is legal issues, else the
+ * oldest non-hit of a bank with no queued hit to its open row whose
+ * PRE/ACT is legal. Legality depends only on the bank and the command,
+ * so it is asked once per (bank, command) per step.
+ *
  * The engine is event-driven: after a cycle in which no command issued
  * and no completion fired, the controller computes the earliest future
  * cycle at which anything can change (next read completion, next
@@ -215,33 +222,34 @@ class Controller
     dram::Cycle demandWake() const;
     dram::Cycle closeWake() const;
 
-    /**
-     * Refresh the per-bank open-row snapshot (openRowByBank_). Valid
-     * until the next command issues; the scheduling passes read it
-     * instead of querying the device once per queue entry.
-     */
-    void refreshOpenRows() const;
+    /** One bank's summary from the latest scanQueue(). */
+    struct BankScan
+    {
+        std::uint64_t stamp = 0; ///< scanStamp_ of the scan that set it.
+        int openRow = -1;        ///< Device open row (-1 = closed).
+        int firstHit = -1;       ///< Queue index of the oldest row hit.
+        int firstMiss = -1;      ///< Queue index of the oldest non-hit.
+    };
 
     /**
-     * Recompute the protected-bank bitmask: banks whose open row still
-     * has queued row-hit requests (those must not be precharged by
-     * younger conflicting requests or victim refreshes). Also refreshes
-     * the open-row snapshot.
+     * One pass over `queue`: for every bank it touches, record the
+     * device's open row (one query per bank) and the queue indices of
+     * the bank's oldest row hit and oldest non-hit. Valid until the
+     * next command issues or the queue changes.
      */
-    void computeProtectedBanks(bool include_reads,
-                               bool include_writes) const;
-    bool protectedBank(int flat_bank) const
-    {
-        return (protectedMask_[static_cast<std::size_t>(flat_bank) / 64] >>
-                (static_cast<std::size_t>(flat_bank) % 64)) &
-            1ULL;
-    }
+    void scanQueue(const std::deque<Request> &queue) const;
+
+    /**
+     * True iff the actively-served queue holds a hit to the open row
+     * of addr's bank (which must be open): such a bank is protected
+     * from precharges by victim refreshes until its hits drain.
+     */
+    bool hasQueuedHit(const dram::Address &addr) const;
 
     bool tryIssueRefresh();
     bool tryCloseIdleRow();
     bool tryIssueVictimRefresh();
     bool tryIssueDemand();
-    bool issueForRequest(Request &request, bool row_hit_only);
 
     dram::Organization org_;
     dram::Device device_;
@@ -274,10 +282,10 @@ class Controller
 
     /** Reusable scratch for mitigation victim requests. */
     std::vector<mitigation::VictimRef> victimScratch_;
-    /** Reusable protected-bank bitmask (one bit per flat bank). */
-    mutable std::vector<std::uint64_t> protectedMask_;
-    /** Open row per flat bank (-1 = closed); see refreshOpenRows(). */
-    mutable std::vector<int> openRowByBank_;
+    /** Per flat bank scanQueue() results; entries whose stamp is not
+     *  scanStamp_ belong to banks the latest scan did not touch. */
+    mutable std::vector<BankScan> bankScan_;
+    mutable std::uint64_t scanStamp_ = 0;
 
     ControllerStats stats_;
 };

@@ -31,6 +31,7 @@ struct Request
     int coreId = 0;
     dram::Cycle arrival = 0;      ///< Cycle the controller accepted it.
     dram::Address decoded;        ///< Filled by the controller.
+    int flatBank = 0;             ///< Flat bank of `decoded`, likewise.
     std::function<void()> onComplete; ///< Invoked when read data returns.
 };
 

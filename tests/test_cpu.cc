@@ -9,6 +9,7 @@
 #include "util/logging.hh"
 
 #include <queue>
+#include <vector>
 
 #include "cpu/cache.hh"
 #include "cpu/core.hh"
@@ -186,6 +187,94 @@ TEST(Core, DelayedCompletionBoundsIpc)
     }
     // Steady state: 128-entry window / 100-cycle latency ~ 1.28 IPC.
     EXPECT_NEAR(core.stats().ipc(), 1.28, 0.2);
+}
+
+/** Trace of back-to-back reads to fresh lines, counting fetches. */
+class CountingReads : public TraceSource
+{
+  public:
+    TraceEntry next() override
+    {
+        return TraceEntry{0, 64 * fetched++, false};
+    }
+
+    std::uint64_t fetched = 0;
+};
+
+/** A core whose reads complete only when the test releases them. */
+struct HeldReads
+{
+    HeldReads()
+        : core(trace, [this](std::uint64_t addr, bool,
+                             std::function<void()> done) {
+              sent.push_back(addr);
+              held.push_back(std::move(done));
+              return true;
+          })
+    {
+    }
+
+    CountingReads trace;
+    std::vector<std::uint64_t> sent;
+    std::vector<std::function<void()>> held;
+    Core core;
+};
+
+void
+expectSameCore(const HeldReads &a, const HeldReads &b)
+{
+    EXPECT_EQ(a.core.stats().cycles, b.core.stats().cycles);
+    EXPECT_EQ(a.core.stats().retired, b.core.stats().retired);
+    EXPECT_EQ(a.core.stats().memReads, b.core.stats().memReads);
+    EXPECT_EQ(a.core.stats().memWrites, b.core.stats().memWrites);
+    EXPECT_EQ(a.core.windowOccupancy(), b.core.windowOccupancy());
+    EXPECT_EQ(a.core.parked(), b.core.parked());
+    EXPECT_EQ(a.trace.fetched, b.trace.fetched);
+    EXPECT_EQ(a.sent, b.sent);
+}
+
+TEST(Core, ParkedExactlyWhenFullWindowWaitsOnHead)
+{
+    HeldReads h;
+    while (h.core.windowOccupancy() < 128) {
+        EXPECT_FALSE(h.core.parked()); // Room left in the window.
+        h.core.tick();
+    }
+    EXPECT_TRUE(h.core.parked());
+    h.held[5](); // A younger read returning does not unpark the core.
+    EXPECT_TRUE(h.core.parked());
+    h.held[0](); // The head's data returns: it can retire next tick.
+    EXPECT_FALSE(h.core.parked());
+    h.core.tick();
+    EXPECT_EQ(h.core.stats().retired, 1);
+}
+
+TEST(Core, SkipCyclesEqualsStalledTicks)
+{
+    // The tick that fills the window issues its last read in its last
+    // slot, so the first stalled tick also fetches the next entry;
+    // skipCycles must do the same.
+    HeldReads ticked;
+    HeldReads skipped;
+    while (!ticked.core.parked()) {
+        ticked.core.tick();
+        skipped.core.tick();
+    }
+    ASSERT_TRUE(skipped.core.parked());
+    for (int i = 0; i < 37; ++i)
+        ticked.core.tick();
+    skipped.core.skipCycles(37);
+    expectSameCore(ticked, skipped);
+
+    // Identical from here on, once the same reads return.
+    for (HeldReads *h : {&ticked, &skipped}) {
+        for (std::size_t i = 0; i < 10; ++i)
+            h->held[i]();
+        for (int i = 0; i < 20; ++i)
+            h->core.tick();
+    }
+    expectSameCore(ticked, skipped);
+    EXPECT_EQ(ticked.core.stats().retired, 10);
 }
 
 TEST(Core, InvalidConfigRejected)

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -244,6 +245,95 @@ TEST(GoldenMapping, BankXorPresetChangesTheCommandStream)
     // the same trace costs (row hits and idle-row closes both move).
     EXPECT_NE(xorred.ctrl->stats().demandActs,
               linear.ctrl->stats().demandActs);
+}
+
+/**
+ * Deep cross-bank trace: requests spread over every bank of the
+ * organization (a few rows each, so hits and conflicts interleave).
+ * Bursts offer several requests per cycle until both queues are near
+ * full, then quiet stretches let them drain, so the write queue
+ * crosses the drain watermarks in both directions and reads still get
+ * served. This is the load under which FR-FCFS's cross-bank
+ * oldest-first order and bank protection decide the command stream.
+ */
+void
+driveDeepTrace(Harness &h, std::uint64_t seed, int requests)
+{
+    const dram::Organization &org = h.ctrl->mapper().organization();
+    util::Rng rng(seed);
+    int sent = 0;
+    while (sent < requests || !h.ctrl->idle()) {
+        const bool burst = (h.ctrl->now() / 512) % 2 == 0;
+        const auto offered = burst ? rng.uniformInt(0, 4) : 0;
+        for (std::uint64_t k = 0; k < offered && sent < requests; ++k) {
+            dram::Address a = org.bankAddress(static_cast<int>(
+                rng.uniformInt(0, static_cast<std::uint64_t>(
+                                      org.totalBanks() - 1))));
+            a.row = static_cast<int>(rng.uniformInt(0, 3)) * 7;
+            a.column = static_cast<int>(rng.uniformInt(
+                0, static_cast<std::uint64_t>(org.columns - 1)));
+            Request r;
+            r.addr = h.ctrl->mapper().encode(a);
+            r.type = rng.bernoulli(0.45) ? Request::Type::Write
+                                         : Request::Type::Read;
+            if (r.type == Request::Type::Read)
+                r.onComplete = [&h] { ++h.completed; };
+            if (h.ctrl->enqueue(std::move(r)))
+                ++sent;
+        }
+        h.ctrl->tick();
+    }
+    h.ctrl->advanceTo(h.ctrl->now() + 2 * h.ctrl->device().timing().tREFI);
+}
+
+TEST(GoldenScheduler, DeepCrossBankQueueMatchesPrePr)
+{
+    // Literals captured from the two-pass FR-FCFS scheduler that the
+    // one-pass bank-indexed scan replaced: any change to cross-bank
+    // oldest-first order, bank protection or write draining under a
+    // deep queue trips them. The per-tick engine must agree too.
+    struct Pin
+    {
+        mitigation::Kind kind;
+        std::size_t commands;
+        std::int64_t cycles, reads, writes, acts, victims;
+        std::uint64_t hash;
+    };
+    const Pin pins[] = {
+        {mitigation::Kind::None, 5782, 32435, 902, 2098, 1392, 0,
+         13847844484029603833ULL},
+        {mitigation::Kind::PARA, 6746, 51321, 156, 2844, 1604, 267,
+         6721301818536652959ULL},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(toString(pin.kind));
+        Harness event(true, pin.kind, 500.0);
+        Harness reference(false, pin.kind, 500.0);
+        driveDeepTrace(event, 31, 3000);
+        driveDeepTrace(reference, 31, 3000);
+        ASSERT_EQ(event.commands, reference.commands);
+        EXPECT_EQ(event.ctrl->stats().cycles,
+                  reference.ctrl->stats().cycles);
+
+        const auto &s = event.ctrl->stats();
+        EXPECT_EQ(event.commands.size(), pin.commands);
+        EXPECT_EQ(s.cycles, pin.cycles);
+        EXPECT_EQ(s.readsServed, pin.reads);
+        EXPECT_EQ(event.completed, pin.reads);
+        EXPECT_EQ(s.writesServed, pin.writes);
+        EXPECT_EQ(s.demandActs, pin.acts);
+        EXPECT_EQ(s.mitigationRefreshes, pin.victims);
+        EXPECT_EQ(streamHash(event.commands), pin.hash);
+        EXPECT_EQ(s.readsServed + s.writesServed, 3000);
+
+        // The trace must actually spread over every bank.
+        std::set<std::string> banks;
+        for (const std::string &line : event.commands) {
+            if (line.rfind("ACT", 0) == 0)
+                banks.insert(line.substr(4, line.find(" row") - 4));
+        }
+        EXPECT_EQ(banks.size(), 16u);
+    }
 }
 
 TEST(GoldenMultiRank, EventEngineMatchesPerTickWithRankXor)

@@ -310,11 +310,18 @@ struct EngineRun
 };
 
 /** One fixed workload under a chosen engine: the reference lockstep
- *  walk or serial epochs (the product engine). */
+ *  walk or serial epochs (the product engine). Two light cores by
+ *  default; `memory_bound` runs eight cores on catalogue mix 36 (270
+ *  summed MPKI), whose windows fill on pending reads, so serial epochs
+ *  spend long stretches with every core parked. A window of fewer than
+ *  4 x 20 entries fills faster than an LLC hit returns, so a parked
+ *  core can also wait on a pending hit. */
 EngineRun
-runEngine(int channels, bool lockstep, bool with_para)
+runEngine(int channels, bool lockstep, bool with_para,
+          bool memory_bound = false, int window_size = 128)
 {
-    core::SystemConfig config = tinyConfig(2);
+    core::SystemConfig config = tinyConfig(memory_bound ? 8 : 2);
+    config.windowSize = window_size;
     config.organization.channels = channels;
     config.organization.rows = 1024;
     config.lockstep = lockstep;
@@ -322,6 +329,8 @@ runEngine(int channels, bool lockstep, bool with_para)
     std::vector<workload::AppProfile> apps{tinyApp(0, 120.0, 0.8),
                                            tinyApp(1, 140.0, 0.7)};
     apps[0].writeFraction = 0.4;
+    if (memory_bound)
+        apps = workload::mixCatalogue(8, 2 * 1024 * 1024)[36].apps;
     core::System system(config, apps, 9);
 
     std::vector<std::unique_ptr<mitigation::Mitigation>> owned;
@@ -426,6 +435,24 @@ TEST(System, EpochsMatchLockstepFourChannels)
     const auto epochs =
         engines::runEngine(4, /*lockstep=*/false, /*with_para=*/true);
     engines::expectIdentical(reference, epochs, "four channels");
+}
+
+TEST(System, EpochsMatchLockstepEightMemoryBoundCores)
+{
+    const std::pair<bool, int> arms[] = {{false, 128}, {true, 128},
+                                         {true, 16}};
+    for (const auto &[with_para, window] : arms) {
+        const auto reference = engines::runEngine(
+            1, /*lockstep=*/true, with_para, /*memory_bound=*/true,
+            window);
+        ASSERT_FALSE(reference.streams[0].empty());
+        const auto epochs = engines::runEngine(
+            1, /*lockstep=*/false, with_para, /*memory_bound=*/true,
+            window);
+        engines::expectIdentical(reference, epochs,
+                                 "para=" + std::to_string(with_para) +
+                                     " window=" + std::to_string(window));
+    }
 }
 
 TEST(Experiment, BaselineNormalizedToOne)
